@@ -2629,10 +2629,11 @@ mod tests {
         assert_eq!(m.total_bytes(), m.total_bytes_down() + m.total_bytes_up());
         // Groups recorded on the final round equal the result size.
         assert!(m.rounds.last().unwrap().groups > 0);
-        // MD₁ is a pure equi-join: both sites run it through compiled
-        // kernels. MD₂ carries a correlated residual and stays interpreted.
-        assert!(m.total_blocks_compiled() > 0);
-        assert!(m.total_blocks_interpreted() > 0);
+        // MD₁ is a pure equi-join and MD₂ carries a correlated residual
+        // (`r.2 >= b.3 / b.2`): both sites run both through compiled
+        // kernels, one block per operator per site.
+        assert_eq!(m.total_blocks_compiled(), 4);
+        assert_eq!(m.total_blocks_interpreted(), 0);
         assert!(m.summary().contains("compiled"));
         wh.shutdown().unwrap();
     }

@@ -341,6 +341,36 @@ impl Expr {
         }
     }
 
+    /// Re-address every column as a *detail* column: base column `i`
+    /// becomes `r.map_base(i)` and detail column `j` becomes
+    /// `r.map_detail(j)`. The result reads one row that holds both sides,
+    /// which lets a base-referencing condition be evaluated over lanes
+    /// gathered from `(base row, detail row)` pairs.
+    pub fn base_into_detail(
+        &self,
+        map_base: &dyn Fn(usize) -> usize,
+        map_detail: &dyn Fn(usize) -> usize,
+    ) -> Expr {
+        match self {
+            Expr::BaseCol(i) => Expr::DetailCol(map_base(*i)),
+            Expr::DetailCol(j) => Expr::DetailCol(map_detail(*j)),
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Binary { op, lhs, rhs } => Expr::Binary {
+                op: *op,
+                lhs: Box::new(lhs.base_into_detail(map_base, map_detail)),
+                rhs: Box::new(rhs.base_into_detail(map_base, map_detail)),
+            },
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: Box::new(expr.base_into_detail(map_base, map_detail)),
+            },
+            Expr::InSet { expr, set } => Expr::InSet {
+                expr: Box::new(expr.base_into_detail(map_base, map_detail)),
+                set: set.clone(),
+            },
+        }
+    }
+
     /// Number of AST nodes (used by tests and plan-complexity heuristics).
     pub fn node_count(&self) -> usize {
         match self {
@@ -420,6 +450,19 @@ mod tests {
         assert_eq!(shifted.to_string(), "(b.11 = r.2)");
         let shifted2 = e.remap_cols(None, Some(&|i| i + 1));
         assert_eq!(shifted2.to_string(), "(b.1 = r.3)");
+    }
+
+    #[test]
+    fn base_into_detail_reads_one_combined_row() {
+        let e = Expr::detail(4)
+            .ge(Expr::base(2).add(Expr::base(0)))
+            .and(Expr::detail(1).is_null().not());
+        let d = e.base_into_detail(&|i| i + 5, &|j| j * 2);
+        assert_eq!(
+            d.to_string(),
+            "((r.8 >= (r.7 + r.5)) AND (NOT (r.2 IS NULL)))"
+        );
+        assert!(d.is_detail_only());
     }
 
     #[test]

@@ -5,25 +5,39 @@
 //! the compiled subset of [`skalla_expr::compile`] is evaluated batch-at-a
 //! time: aggregate arguments are lowered to [`CompiledScalar`] programs
 //! evaluated once per batch (they are detail-only, so the lanes are shared
-//! across every base tuple), the condition either drives the existing hash
-//! index (pure equi-join) or a [`CompiledPred`] selection bitmap (nested
-//! loop), and matches fold into *typed* per-group accumulators instead of
-//! `Value` state cells. The typed state converts back into the interpreter's
-//! `Vec<Value>` representation at block end, so everything downstream
-//! (merge, finalize, wire shipping) is unchanged.
+//! across every base tuple), and matches fold into *typed* per-group
+//! accumulators instead of `Value` state cells. The condition runs one of
+//! two ways:
+//!
+//! * **Hash** — θ has equi-join conjuncts `b.k = r.j`: detail keys probe
+//!   the base hash index. The rest of θ (the *residual*, e.g.
+//!   `r.orderdate >= 90` or `r.extendedprice >= b.avg1`) runs in two
+//!   steps. Its longest detail-only conjunct prefix is one selection
+//!   bitmap per batch, and rows where it is definitely FALSE skip the
+//!   probe. A residual that reads base columns is then evaluated over
+//!   lanes gathered from the batch's `(base row, detail row)` match pairs.
+//! * **Nested** — general θ: a [`CompiledPred`] selection bitmap per base
+//!   tuple per batch.
+//!
+//! The typed state converts back into the interpreter's `Vec<Value>`
+//! representation at block end, so everything downstream (merge, finalize,
+//! wire shipping) is unchanged. Matches fold in the interpreter's order
+//! (detail row, then index order), so float folds agree bit for bit.
 //!
 //! Deferred-error lanes are resolved by re-running the interpreter on just
-//! the flagged rows, which keeps error behaviour (division by zero, SUM
-//! overflow, …) identical to the row-at-a-time path.
+//! the flagged rows or pairs, which keeps error behaviour (division by
+//! zero, SUM overflow, …) identical to the row-at-a-time path.
 
-use skalla_expr::compile::{CompiledPred, CompiledScalar, Lanes, ScalarLanes, BATCH_ROWS};
+use skalla_expr::compile::{Batch, CompiledPred, CompiledScalar, Lanes, ScalarLanes, BATCH_ROWS};
 use skalla_expr::{analysis, eval_detail, eval_predicate, Expr};
-use skalla_storage::{HashIndex, Table};
-use skalla_types::{total_cmp_f64, DataType, Relation, Result, Row, Schema, SkallaError, Value};
+use skalla_storage::{Column, Table};
+use skalla_types::{
+    total_cmp_f64, DataType, Field, Relation, Result, Row, Schema, SkallaError, Value,
+};
 use std::sync::Arc;
 
 use crate::agg::{AggFunc, AggSpec};
-use crate::eval::EvalStats;
+use crate::eval::{EvalStats, HashJoin};
 use crate::op::GmdjBlock;
 
 /// One GMDJ block lowered onto the batch path.
@@ -34,12 +48,133 @@ pub(crate) struct CompiledBlock {
 }
 
 enum Plan {
-    /// θ is exactly a conjunction of equi-join pairs: probe the base hash
-    /// index with detail keys, no residual to evaluate.
-    Hash { detail_key_cols: Vec<usize> },
+    /// θ has equi-join conjuncts: probe the base hash index with detail
+    /// keys, then test the residual (`None` when θ is a pure equi-join).
+    Hash { residual: Option<Residual> },
     /// General θ: evaluate a compiled predicate per base tuple over each
     /// batch.
     Nested { pred: CompiledPred },
+}
+
+/// A hash block's residual, lowered for batch evaluation.
+struct Residual {
+    /// The residual as the interpreter tests it per index candidate: the
+    /// left-deep conjunction of θ's non-equi-join conjuncts. Error lanes
+    /// resolve through it on exactly the pair that raised them.
+    expr: Expr,
+    /// The longest prefix of the residual's conjuncts that reads only
+    /// detail columns, evaluated once per batch with an empty base row. A
+    /// row where it is definitely FALSE fails the residual for every
+    /// candidate without an error, because the interpreter's AND
+    /// short-circuits left to right, so the row skips the probe.
+    prefix: Option<CompiledPred>,
+    /// The whole residual over match pairs, when it reads base columns.
+    /// `None` means the residual is detail-only and `prefix` is all of it.
+    pairs: Option<PairPred>,
+}
+
+/// A base-referencing residual compiled against a compact schema — the
+/// detail columns it reads, then the base columns it reads re-addressed as
+/// detail columns — and evaluated over lanes gathered from `(base row,
+/// detail row)` pairs.
+struct PairPred {
+    pred: CompiledPred,
+    detail_cols: Vec<usize>,
+    base_cols: Vec<usize>,
+    /// Declared type of each gathered column, detail columns first.
+    types: Vec<DataType>,
+}
+
+impl Residual {
+    fn compile(expr: &Expr, base: &Schema, detail: &Schema) -> Option<Residual> {
+        let conjuncts = analysis::conjuncts(expr);
+        let n_prefix = conjuncts.iter().take_while(|c| c.is_detail_only()).count();
+        let prefix = match n_prefix {
+            0 => None,
+            n => {
+                let prefix = Expr::conjunction(conjuncts[..n].iter().map(|c| (*c).clone()));
+                Some(CompiledPred::compile(&prefix, base, detail)?)
+            }
+        };
+        let pairs = if n_prefix == conjuncts.len() {
+            None
+        } else {
+            Some(PairPred::compile(expr, base, detail)?)
+        };
+        Some(Residual {
+            expr: expr.clone(),
+            prefix,
+            pairs,
+        })
+    }
+}
+
+impl PairPred {
+    fn compile(expr: &Expr, base: &Schema, detail: &Schema) -> Option<PairPred> {
+        let detail_cols: Vec<usize> = analysis::detail_cols_used(expr).into_iter().collect();
+        let base_cols: Vec<usize> = analysis::base_cols_used(expr).into_iter().collect();
+        let mut fields = Vec::with_capacity(detail_cols.len() + base_cols.len());
+        for &c in &detail_cols {
+            fields.push(Field::new(format!("r{c}"), detail.fields().get(c)?.dtype));
+        }
+        for &c in &base_cols {
+            fields.push(Field::new(format!("b{c}"), base.fields().get(c)?.dtype));
+        }
+        let compact = Schema::new(fields).ok()?;
+        let pos =
+            |cols: &[usize], c: usize| cols.binary_search(&c).expect("column collected above");
+        let remapped = expr.base_into_detail(&|b| detail_cols.len() + pos(&base_cols, b), &|d| {
+            pos(&detail_cols, d)
+        });
+        Some(PairPred {
+            pred: CompiledPred::compile(&remapped, &Schema::empty(), &compact)?,
+            types: compact.fields().iter().map(|f| f.dtype).collect(),
+            detail_cols,
+            base_cols,
+        })
+    }
+
+    /// Evaluate over `pairs` (`(base row, detail lane)` of `batch`). A base
+    /// value that does not match its declared type becomes an error lane,
+    /// so the interpreter decides that pair exactly as the kernels'
+    /// `Base` lookups would.
+    fn eval(&self, pairs: &[(u32, u32)], batch: &Batch<'_>, base: &[Row]) -> Lanes<bool> {
+        let mut cols: Vec<Column> = self
+            .types
+            .iter()
+            .map(|&t| Column::with_capacity(t, pairs.len()))
+            .collect();
+        let (detail, base_side) = cols.split_at_mut(self.detail_cols.len());
+        for (col, &c) in detail.iter_mut().zip(&self.detail_cols) {
+            for &(_, i) in pairs {
+                col.push(batch.cols[c].value(i as usize))
+                    .expect("detail lanes carry the column's type");
+            }
+        }
+        let mut mismatched = Vec::new();
+        for (col, &c) in base_side.iter_mut().zip(&self.base_cols) {
+            let dtype = col.data_type();
+            for (k, &(bi, _)) in pairs.iter().enumerate() {
+                let v = &base[bi as usize][c];
+                let v = if v.data_type().is_none_or(|t| t == dtype) {
+                    v.clone()
+                } else {
+                    mismatched.push(k);
+                    Value::Null
+                };
+                col.push(v).expect("value type checked above");
+            }
+        }
+        let lanes = Batch::new(
+            cols.iter().map(|c| c.batch(0, pairs.len())).collect(),
+            pairs.len(),
+        );
+        let mut sel = self.pred.eval_batch(&[], &lanes);
+        for k in mismatched {
+            sel.errs[k] = true;
+        }
+        sel
+    }
 }
 
 /// Typed per-group accumulator state for one aggregate. The variant is
@@ -345,29 +480,26 @@ impl Acc {
     }
 }
 
-/// Try to lower `block` onto the batch path. Returns `None` (interpreter
-/// fallback) when the condition or any aggregate falls outside the compiled
-/// subset — including hash-strategy blocks with a non-trivial residual,
-/// where the interpreter's index-probe path is already the right tool.
+/// Try to lower `block` onto the batch path. `join` is the hash strategy's
+/// probe structure (`None`: nested loop). Returns `None` (interpreter
+/// fallback for this block) when the condition or any aggregate falls
+/// outside the compiled subset.
 pub(crate) fn compile_block(
     block: &GmdjBlock,
     base_schema: &Schema,
     detail_schema: &Schema,
-    use_hash: bool,
+    join: Option<&HashJoin>,
 ) -> Option<CompiledBlock> {
-    let plan = if use_hash {
-        let pairs = analysis::equality_pairs(&block.theta);
-        let residual = analysis::residual_without_pairs(&block.theta, &pairs);
-        if residual != Expr::lit(true) {
-            return None;
-        }
-        Plan::Hash {
-            detail_key_cols: pairs.iter().map(|p| p.detail_col).collect(),
-        }
-    } else {
-        Plan::Nested {
+    let plan = match join {
+        Some(join) => Plan::Hash {
+            residual: match &join.residual {
+                r if *r == Expr::lit(true) => None,
+                r => Some(Residual::compile(r, base_schema, detail_schema)?),
+            },
+        },
+        None => Plan::Nested {
             pred: CompiledPred::compile(&block.theta, base_schema, detail_schema)?,
-        }
+        },
     };
 
     let mut args = Vec::with_capacity(block.aggs.len());
@@ -394,6 +526,7 @@ pub(crate) fn run_block(
     cb: &CompiledBlock,
     block: &GmdjBlock,
     block_off: usize,
+    join: Option<&HashJoin>,
     base: &Relation,
     table: &Table,
     t_start: usize,
@@ -424,17 +557,9 @@ pub(crate) fn run_block(
         }
     }
 
-    let index = match &cb.plan {
-        Plan::Hash { .. } => {
-            let pairs = analysis::equality_pairs(&block.theta);
-            let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
-            Some(HashIndex::build_from_rows(
-                base.rows().iter(),
-                &base_key_cols,
-            ))
-        }
-        Plan::Nested { .. } => None,
-    };
+    // The hash plan's match pairs `(base row, detail lane)` of one batch,
+    // in probe order (reused across batches).
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
 
     let empty_base: Row = Vec::new();
     let mut key: Row = Vec::new();
@@ -442,6 +567,7 @@ pub(crate) fn run_block(
     while start < t_len {
         let len = BATCH_ROWS.min(t_len - start);
         let batch = table.batch(t_start + start, len);
+        let detail_row = |i: usize| table.row(t_start + start + i);
 
         // Aggregate arguments are detail-only: one evaluation per batch,
         // shared across every base tuple. Error lanes resolve through the
@@ -458,8 +584,7 @@ pub(crate) fn run_block(
                         let e = spec.arg.as_ref().expect("compiled arg implies expr");
                         for i in 0..len {
                             if lanes.is_err(i) {
-                                let v = eval_detail(e, &table.row(t_start + start + i))?;
-                                lanes.set(i, &v)?;
+                                lanes.set(i, &eval_detail(e, &detail_row(i))?)?;
                             }
                         }
                     }
@@ -467,23 +592,84 @@ pub(crate) fn run_block(
                 }
             }
         }
+        let mut fold = |bi: usize, i: usize| -> Result<()> {
+            stats.matches += 1;
+            match_counts[bi] += 1;
+            for (acc, lanes) in accs.iter_mut().zip(&arg_lanes) {
+                acc.accumulate(bi, lanes.as_ref(), i)?;
+            }
+            Ok(())
+        };
 
         match &cb.plan {
-            Plan::Hash { detail_key_cols } => {
-                let index = index.as_ref().expect("hash plan has index");
+            Plan::Hash { residual } => {
+                let join = join.expect("hash plan has a join");
+                let prefix = residual
+                    .as_ref()
+                    .and_then(|r| r.prefix.as_ref())
+                    .map(|p| p.eval_batch(&empty_base, &batch));
+                let detail_only = residual.as_ref().is_some_and(|r| r.pairs.is_none());
+                pairs.clear();
                 for i in 0..len {
+                    if let Some(p) = &prefix {
+                        // Definitely FALSE: no candidate can pass. A
+                        // detail-only residual that is NULL fails without
+                        // an error too.
+                        if !p.errs[i]
+                            && ((!p.nulls[i] && !p.vals[i]) || (detail_only && p.nulls[i]))
+                        {
+                            continue;
+                        }
+                    }
                     // NULL keys never join (SQL equality semantics).
-                    if detail_key_cols.iter().any(|&c| batch.cols[c].is_null(i)) {
+                    if join
+                        .detail_key_cols
+                        .iter()
+                        .any(|&c| batch.cols[c].is_null(i))
+                    {
                         continue;
                     }
                     key.clear();
-                    key.extend(detail_key_cols.iter().map(|&c| batch.cols[c].value(i)));
-                    for &bi in index.get(&key) {
-                        let bi = bi as usize;
-                        stats.matches += 1;
-                        match_counts[bi] += 1;
-                        for (acc, lanes) in accs.iter_mut().zip(&arg_lanes) {
-                            acc.accumulate(bi, lanes.as_ref(), i)?;
+                    key.extend(join.detail_key_cols.iter().map(|&c| batch.cols[c].value(i)));
+                    pairs.extend(join.index.get(&key).iter().map(|&bi| (bi, i as u32)));
+                }
+
+                match residual {
+                    // Pure equi-join, or a detail-only residual whose
+                    // per-batch lanes already decided every surviving row
+                    // except its error lanes.
+                    None | Some(Residual { pairs: None, .. }) => {
+                        for &(bi, i) in &pairs {
+                            let (bi, i) = (bi as usize, i as usize);
+                            let hit = match (&prefix, residual) {
+                                (Some(p), Some(r)) if p.errs[i] => {
+                                    eval_predicate(&r.expr, &base.rows()[bi], &detail_row(i))?
+                                }
+                                _ => true,
+                            };
+                            if hit {
+                                fold(bi, i)?;
+                            }
+                        }
+                    }
+                    Some(
+                        r @ Residual {
+                            pairs: Some(pp), ..
+                        },
+                    ) => {
+                        for chunk in pairs.chunks(BATCH_ROWS) {
+                            let sel = pp.eval(chunk, &batch, base.rows());
+                            for (k, &(bi, i)) in chunk.iter().enumerate() {
+                                let (bi, i) = (bi as usize, i as usize);
+                                let hit = if sel.errs[k] {
+                                    eval_predicate(&r.expr, &base.rows()[bi], &detail_row(i))?
+                                } else {
+                                    sel.ok(k) && sel.vals[k]
+                                };
+                                if hit {
+                                    fold(bi, i)?;
+                                }
+                            }
                         }
                     }
                 }
@@ -496,12 +682,7 @@ pub(crate) fn run_block(
                     if sel.has_errs() {
                         for i in 0..len {
                             if sel.errs[i] {
-                                let hit = eval_predicate(
-                                    &block.theta,
-                                    b,
-                                    &table.row(t_start + start + i),
-                                )?;
-                                sel.vals[i] = hit;
+                                sel.vals[i] = eval_predicate(&block.theta, b, &detail_row(i))?;
                                 sel.nulls[i] = false;
                                 sel.errs[i] = false;
                             }
@@ -509,11 +690,7 @@ pub(crate) fn run_block(
                     }
                     for i in 0..len {
                         if sel.ok(i) && sel.vals[i] {
-                            stats.matches += 1;
-                            match_counts[bi] += 1;
-                            for (acc, lanes) in accs.iter_mut().zip(&arg_lanes) {
-                                acc.accumulate(bi, lanes.as_ref(), i)?;
-                            }
+                            fold(bi, i)?;
                         }
                     }
                 }

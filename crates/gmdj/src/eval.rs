@@ -27,6 +27,7 @@ use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap, SegmentFil
 use skalla_storage::{ColumnStats, HashIndex};
 use skalla_types::{DataType, Field, Relation, Result, Row, Schema, Value};
 
+use crate::compiled::{compile_block, run_block, CompiledBlock};
 use crate::op::{GmdjOp, MATCH_COUNT_COL};
 
 /// Strategy selection for one GMDJ block.
@@ -78,7 +79,9 @@ impl Default for EvalOptions {
 /// Below this many detail rows the thread fan-out costs more than it saves.
 const PARALLEL_MIN_ROWS: usize = 4096;
 
-/// Counters describing one local evaluation.
+/// Counters describing one local evaluation. The `blocks_*` counters
+/// count each operator block once per scan, however many worker ranges or
+/// segment pieces the scan was cut into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Detail rows scanned (per block).
@@ -93,6 +96,15 @@ pub struct EvalStats {
     /// hashed/nested counts, which record the join strategy regardless of
     /// execution mode).
     pub blocks_compiled: u32,
+}
+
+impl EvalStats {
+    /// Add another part of the same scan's row counters (the block
+    /// counters belong to the scan's plan, not to its parts).
+    fn add_rows(&mut self, part: &EvalStats) {
+        self.detail_rows_scanned += part.detail_rows_scanned;
+        self.matches += part.matches;
+    }
 }
 
 /// The detail side of local evaluation: either a columnar table or a
@@ -288,16 +300,20 @@ fn accumulate<D: DetailSource>(
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<Accumulated> {
+    let columnar = detail.table_slice().map(|(t, _, _)| t.schema().as_ref());
+    let (plans, stats) = plan_blocks(base, op, columnar, opts);
     let par = opts.parallelism.max(1);
     let n = detail.num_rows();
     if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
-        return accumulate_serial(base, detail, op, opts);
+        let mut acc = fresh_acc(base, op);
+        acc.2 = stats;
+        accumulate_serial_into(base, detail, op, &plans, &mut acc)?;
+        return Ok(acc);
     }
 
     // Fan the scan out: each worker accumulates private state over a
-    // contiguous row range (building its own base index — O(|B|) per
-    // worker, dwarfed by the scan at these sizes), then the partial states
-    // merge associatively.
+    // contiguous row range (sharing the scan's block plans and base
+    // indexes), then the partial states merge associatively.
     let chunk = n.div_ceil(par);
     let workers: Vec<RangeView<'_, D>> = (0..par)
         .map(|w| {
@@ -311,10 +327,16 @@ fn accumulate<D: DetailSource>(
         .filter(|v| v.len > 0)
         .collect();
 
+    let plans = &plans;
     let partials: Vec<Result<Accumulated>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .iter()
-            .map(|view| scope.spawn(move || accumulate_serial(base, view, op, opts)))
+            .map(|view| {
+                scope.spawn(move || {
+                    let mut acc = fresh_acc(base, op);
+                    accumulate_serial_into(base, view, op, plans, &mut acc).map(|()| acc)
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -326,14 +348,15 @@ fn accumulate<D: DetailSource>(
     });
 
     let mut iter = partials.into_iter();
-    let (mut states, mut match_counts, mut stats) = iter.next().expect("at least one worker")?;
+    let (mut states, mut match_counts, first) = iter.next().expect("at least one worker")?;
+    let mut total = stats;
+    total.add_rows(&first);
     for partial in iter {
         let (pstates, pcounts, pstats) = partial?;
         merge_partial_states(op, &mut states, &mut match_counts, pstates, &pcounts)?;
-        stats.detail_rows_scanned += pstats.detail_rows_scanned;
-        stats.matches += pstats.matches;
+        total.add_rows(&pstats);
     }
-    Ok((states, match_counts, stats))
+    Ok((states, match_counts, total))
 }
 
 /// Merge a partial accumulation into `states`/`match_counts` (Theorem 1:
@@ -373,84 +396,123 @@ fn init_states(base: &Relation, op: &GmdjOp) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Single-threaded accumulation over one detail source.
-fn accumulate_serial<D: DetailSource>(
-    base: &Relation,
-    detail: &D,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-) -> Result<Accumulated> {
-    let mut acc = (
+/// An empty accumulation: identity states, zero matches, zero counters.
+fn fresh_acc(base: &Relation, op: &GmdjOp) -> Accumulated {
+    (
         init_states(base, op),
         vec![0u64; base.len()],
         EvalStats::default(),
-    );
-    accumulate_serial_into(base, detail, op, opts, &mut acc)?;
-    Ok(acc)
+    )
+}
+
+/// The hash strategy's probe structure for one block: the base index on
+/// the equi-join columns and the residual checked per candidate.
+pub(crate) struct HashJoin {
+    pub(crate) index: HashIndex,
+    pub(crate) detail_key_cols: Vec<usize>,
+    /// θ without its equi-join conjuncts (`TRUE` when none remain).
+    pub(crate) residual: Expr,
+}
+
+/// How one block runs, decided once per scan so that worker ranges and
+/// segment pieces share the base index and the compiled kernels.
+struct BlockPlan {
+    /// State-column offset of the block's first aggregate.
+    offset: usize,
+    /// `Some` for the hash strategy, `None` for the nested loop.
+    join: Option<HashJoin>,
+    /// The block lowered onto batch kernels, when the scan's detail
+    /// source is columnar and the block compiles.
+    compiled: Option<CompiledBlock>,
+}
+
+/// Plan every block of `op` for one scan, and count each block once.
+fn plan_blocks(
+    base: &Relation,
+    op: &GmdjOp,
+    columnar: Option<&Schema>,
+    opts: &EvalOptions,
+) -> (Vec<BlockPlan>, EvalStats) {
+    let mut stats = EvalStats::default();
+    let mut offset = 0;
+    let plans = op
+        .blocks
+        .iter()
+        .map(|block| {
+            let pairs = analysis::equality_pairs(&block.theta);
+            let use_hash = !pairs.is_empty() && opts.strategy != LocalStrategy::NestedLoop;
+            let join = use_hash.then(|| {
+                let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
+                HashJoin {
+                    index: HashIndex::build_from_rows(base.rows().iter(), &base_key_cols),
+                    detail_key_cols: pairs.iter().map(|p| p.detail_col).collect(),
+                    residual: analysis::residual_without_pairs(&block.theta, &pairs),
+                }
+            });
+            let compiled = columnar
+                .filter(|_| opts.compiled)
+                .and_then(|d| compile_block(block, base.schema(), d, join.as_ref()));
+            if use_hash {
+                stats.blocks_hashed += 1;
+            } else {
+                stats.blocks_nested += 1;
+            }
+            if compiled.is_some() {
+                stats.blocks_compiled += 1;
+            }
+            let plan = BlockPlan {
+                offset,
+                join,
+                compiled,
+            };
+            offset += block.aggs.iter().map(|a| a.state_width()).sum::<usize>();
+            plan
+        })
+        .collect();
+    (plans, stats)
 }
 
 /// Single-threaded accumulation continuing from existing state. Feeding a
 /// detail scan through this in consecutive chunks is *bit-identical* to one
-/// [`accumulate_serial`] call over the concatenation — every row updates
-/// the same running state in the same order, so even non-associative float
-/// rounding agrees. The out-of-core segment scan depends on this.
+/// pass over the concatenation — every row updates the same running state
+/// in the same order, so even non-associative float rounding agrees. The
+/// out-of-core segment scan depends on this. Adds to the row counters only;
+/// the block counters come from [`plan_blocks`].
 fn accumulate_serial_into<D: DetailSource>(
     base: &Relation,
     detail: &D,
     op: &GmdjOp,
-    opts: &EvalOptions,
+    plans: &[BlockPlan],
     acc: &mut Accumulated,
 ) -> Result<()> {
     let (states, match_counts, stats) = acc;
-
-    // State-column offset of each block's first aggregate.
-    let mut block_offsets = Vec::with_capacity(op.blocks.len());
-    let mut off = 0;
-    for block in &op.blocks {
-        block_offsets.push(off);
-        off += block.aggs.iter().map(|a| a.state_width()).sum::<usize>();
-    }
-
     let n_detail = detail.num_rows();
 
-    for (block, &block_off) in op.blocks.iter().zip(&block_offsets) {
-        let pairs = analysis::equality_pairs(&block.theta);
-        let use_hash = match opts.strategy {
-            LocalStrategy::Auto => !pairs.is_empty(),
-            LocalStrategy::Hash => !pairs.is_empty(),
-            LocalStrategy::NestedLoop => false,
-        };
+    for (block, plan) in op.blocks.iter().zip(plans) {
+        stats.detail_rows_scanned += n_detail as u64;
+        let block_off = plan.offset;
 
-        // Compiled batch path: when the detail source is columnar and the
-        // block lowers onto typed kernels, skip the interpreter entirely.
-        if opts.compiled {
-            if let Some((table, t_start, t_len)) = detail.table_slice() {
-                debug_assert_eq!(t_len, n_detail);
-                if let Some(cb) =
-                    crate::compiled::compile_block(block, base.schema(), table.schema(), use_hash)
-                {
-                    stats.detail_rows_scanned += n_detail as u64;
-                    if use_hash {
-                        stats.blocks_hashed += 1;
-                    } else {
-                        stats.blocks_nested += 1;
-                    }
-                    stats.blocks_compiled += 1;
-                    crate::compiled::run_block(
-                        &cb,
-                        block,
-                        block_off,
-                        base,
-                        table,
-                        t_start,
-                        t_len,
-                        states,
-                        match_counts,
-                        stats,
-                    )?;
-                    continue;
-                }
-            }
+        // Compiled batch path: the block lowered onto typed kernels when
+        // the scan was planned, so the source is columnar.
+        if let Some(cb) = &plan.compiled {
+            let (table, t_start, t_len) = detail
+                .table_slice()
+                .expect("compiled plans are made for columnar sources");
+            debug_assert_eq!(t_len, n_detail);
+            run_block(
+                cb,
+                block,
+                block_off,
+                plan.join.as_ref(),
+                base,
+                table,
+                t_start,
+                t_len,
+                states,
+                match_counts,
+                stats,
+            )?;
+            continue;
         }
 
         // Precompute per-detail-row argument values for each aggregate in
@@ -470,29 +532,21 @@ fn accumulate_serial_into<D: DetailSource>(
             }
         }
 
-        stats.detail_rows_scanned += n_detail as u64;
-
-        if use_hash {
-            stats.blocks_hashed += 1;
-            let base_key_cols: Vec<usize> = pairs.iter().map(|p| p.base_col).collect();
-            let detail_key_cols: Vec<usize> = pairs.iter().map(|p| p.detail_col).collect();
-            let residual = analysis::residual_without_pairs(&block.theta, &pairs);
-            let skip_residual = residual == Expr::lit(true);
-            let index = HashIndex::build_from_rows(base.rows().iter(), &base_key_cols);
-
-            let mut key: Row = Vec::with_capacity(detail_key_cols.len());
+        if let Some(join) = &plan.join {
+            let skip_residual = join.residual == Expr::lit(true);
+            let mut key: Row = Vec::with_capacity(join.detail_key_cols.len());
             for i in 0..n_detail {
                 let r = detail.get_row(i);
                 key.clear();
                 // NULL keys never join (SQL equality semantics).
-                if detail_key_cols.iter().any(|&c| r[c].is_null()) {
+                if join.detail_key_cols.iter().any(|&c| r[c].is_null()) {
                     continue;
                 }
-                key.extend(detail_key_cols.iter().map(|&c| r[c].clone()));
-                for &bi in index.get(&key) {
+                key.extend(join.detail_key_cols.iter().map(|&c| r[c].clone()));
+                for &bi in join.index.get(&key) {
                     let bi = bi as usize;
                     let b = &base.rows()[bi];
-                    if skip_residual || eval_predicate(&residual, b, &r)? {
+                    if skip_residual || eval_predicate(&join.residual, b, &r)? {
                         stats.matches += 1;
                         match_counts[bi] += 1;
                         accumulate_row(block, block_off, &mut states[bi], &arg_vals, i)?;
@@ -500,7 +554,6 @@ fn accumulate_serial_into<D: DetailSource>(
                 }
             }
         } else {
-            stats.blocks_nested += 1;
             for i in 0..n_detail {
                 let r = detail.get_row(i);
                 for (bi, b) in base.rows().iter().enumerate() {
@@ -576,6 +629,8 @@ fn accumulate_segments(
     let can_prune = prune && !bounds.is_empty();
     let (lo, hi) = range.unwrap_or((0, file.total_rows()));
     let n = hi.saturating_sub(lo);
+    // Decoded segment pieces are tables: the scan is columnar.
+    let (plans, stats) = plan_blocks(base, op, Some(file.schema()), opts);
 
     // The same range boundaries accumulate() hands its workers.
     let par = opts.parallelism.max(1);
@@ -611,14 +666,8 @@ fn accumulate_segments(
             let ci = (pos - lo) / chunk;
             let piece_end = whi.min(lo + (ci + 1) * chunk);
             let piece = table.row_range(pos - start, piece_end - start)?;
-            let acc = accs[ci].get_or_insert_with(|| {
-                (
-                    init_states(base, op),
-                    vec![0u64; base.len()],
-                    EvalStats::default(),
-                )
-            });
-            accumulate_serial_into(base, &piece, op, opts, acc)?;
+            let acc = accs[ci].get_or_insert_with(|| fresh_acc(base, op));
+            accumulate_serial_into(base, &piece, op, &plans, acc)?;
             pos = piece_end;
         }
     }
@@ -626,25 +675,14 @@ fn accumulate_segments(
     // Merge the ranges in worker order, exactly as accumulate() does. All
     // segments pruned (or none in range): identity states, zero matches.
     let mut iter = accs.into_iter().flatten();
-    let acc = match iter.next() {
-        None => (
-            init_states(base, op),
-            vec![0u64; base.len()],
-            EvalStats::default(),
-        ),
-        Some(mut a) => {
-            for (pstates, pcounts, pstats) in iter {
-                merge_partial_states(op, &mut a.0, &mut a.1, pstates, &pcounts)?;
-                a.2.detail_rows_scanned += pstats.detail_rows_scanned;
-                a.2.matches += pstats.matches;
-                a.2.blocks_hashed += pstats.blocks_hashed;
-                a.2.blocks_nested += pstats.blocks_nested;
-                a.2.blocks_compiled += pstats.blocks_compiled;
-            }
-            a
-        }
-    };
-    Ok((acc, seg))
+    let (mut states, mut match_counts, first) = iter.next().unwrap_or_else(|| fresh_acc(base, op));
+    let mut total = stats;
+    total.add_rows(&first);
+    for (pstates, pcounts, pstats) in iter {
+        merge_partial_states(op, &mut states, &mut match_counts, pstates, &pcounts)?;
+        total.add_rows(&pstats);
+    }
+    Ok(((states, match_counts, total), seg))
 }
 
 /// Segment-backed [`eval_gmdj_sub`]: sub-aggregate state columns computed
@@ -1106,9 +1144,9 @@ mod tests {
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa.matches, sb.matches);
         assert_eq!(sa.blocks_hashed, sb.blocks_hashed);
-        // Block 1 is a pure equi-join (compiles); block 2 carries a hash
-        // residual, which stays on the interpreter's index-probe path.
-        assert_eq!(sa.blocks_compiled, 1);
+        // Block 1 is a pure equi-join; block 2 carries a detail-only hash
+        // residual, which compiles to a per-batch selection bitmap.
+        assert_eq!(sa.blocks_compiled, 2);
         assert_eq!(sb.blocks_compiled, 0);
     }
 
@@ -1157,6 +1195,46 @@ mod tests {
         .unwrap();
         assert_eq!(out.sorted(), out2.sorted());
         assert_eq!(s2.blocks_compiled, 0);
+    }
+
+    /// A base value that does not match its declared column type (an
+    /// unchecked relation) sends exactly its match pairs back to the
+    /// interpreter; the answer is unchanged.
+    #[test]
+    fn compiled_residual_with_mistyped_base_value() {
+        let big = 1i64 << 53;
+        let t = Table::from_rows(
+            detail_schema(),
+            &[
+                vec![Value::Int(1), Value::Int(10), Value::Int(big)],
+                vec![Value::Int(2), Value::Int(20), Value::Int(50)],
+            ],
+        )
+        .unwrap();
+        let schema = Arc::new(
+            Schema::from_pairs([("sas", DataType::Int64), ("cap", DataType::Float64)]).unwrap(),
+        );
+        // `cap` is declared Float64, but row 0 holds an Int that no f64
+        // represents: only the exact interpreter comparison sees
+        // 2^53 < 2^53 + 1.
+        let b = Relation::from_rows_unchecked(
+            schema,
+            vec![
+                vec![Value::Int(1), Value::Int(big + 1)],
+                vec![Value::Int(2), Value::Float(60.0)],
+            ],
+        );
+        let op = GmdjOp::new(vec![GmdjBlock::new(
+            vec![AggSpec::count_star("c")],
+            Expr::base(0)
+                .eq(Expr::detail(0))
+                .and(Expr::detail(2).lt(Expr::base(1))),
+        )]);
+        let (out, stats) =
+            eval_gmdj_full(&b, &t, &detail_schema(), &op, &EvalOptions::default()).unwrap();
+        assert_eq!(stats.blocks_compiled, 1);
+        assert_eq!(out.row(0)[2], Value::Int(1));
+        assert_eq!(out.row(1)[2], Value::Int(1));
     }
 
     /// Row-oriented detail sources have no columnar window, so they stay on
@@ -1372,6 +1450,73 @@ mod tests {
             let (seg, _, _) = eval_gmdj_full_segments(&b, &file, &op, &opts, true, None).unwrap();
             assert_eq!(seg.sorted(), mem.sorted());
         }
+    }
+
+    /// The block counters count each operator block once per scan: the
+    /// serial scan, the parallel in-memory scan and the segment scan (many
+    /// segment pieces, cut into worker ranges, or all pruned) agree.
+    #[test]
+    fn block_counters_count_each_block_once_per_scan() {
+        let schema = detail_schema();
+        let rows: Vec<Vec<Value>> = (0..6_000)
+            .map(|i| vec![Value::Int(i % 5), Value::Int(i % 3), Value::Int(i)])
+            .collect();
+        let t = Table::from_rows(schema.clone(), &rows).unwrap();
+        let b = t.distinct_project(&[0, 1]).unwrap();
+        let file = write_flow_segments("counters", &t, 512);
+        let op = GmdjOp::new(vec![
+            GmdjBlock::new(
+                vec![AggSpec::sum(Expr::detail(2), "s").unwrap()],
+                Expr::base(0)
+                    .eq(Expr::detail(0))
+                    .and(Expr::detail(2).ge(Expr::base(1))),
+            ),
+            GmdjBlock::new(
+                vec![AggSpec::count_star("c")],
+                Expr::detail(1).lt(Expr::base(1)),
+            ),
+        ]);
+        let want = EvalStats {
+            blocks_hashed: 1,
+            blocks_nested: 1,
+            blocks_compiled: 2,
+            ..Default::default()
+        };
+        let blocks = |s: EvalStats| (s.blocks_hashed, s.blocks_nested, s.blocks_compiled);
+        for par in [1, 3] {
+            let opts = EvalOptions {
+                parallelism: par,
+                ..Default::default()
+            };
+            let (mem, sm) = eval_gmdj_sub(&b, &t, &schema, &op, &opts).unwrap();
+            let (seg, ss, sc) = eval_gmdj_sub_segments(&b, &file, &op, &opts, true, None).unwrap();
+            assert_eq!(seg, mem, "parallelism {par}");
+            assert_eq!(sc.scanned, 12);
+            assert_eq!(blocks(sm), blocks(want), "in-memory, parallelism {par}");
+            assert_eq!(blocks(ss), blocks(want), "segments, parallelism {par}");
+            assert_eq!(ss.matches, sm.matches);
+            assert_eq!(ss.detail_rows_scanned, sm.detail_rows_scanned);
+        }
+        // Every segment pruned: the blocks were still planned once each.
+        let pruned = GmdjOp::new(vec![GmdjBlock::new(
+            vec![AggSpec::count_star("c")],
+            Expr::base(0)
+                .eq(Expr::detail(0))
+                .and(Expr::detail(2).lt(Expr::lit(-1))),
+        )]);
+        let opts = EvalOptions::default();
+        let (_, ss, sc) = eval_gmdj_sub_segments(&b, &file, &pruned, &opts, true, None).unwrap();
+        let (_, sm) = eval_gmdj_sub(&b, &t, &schema, &pruned, &opts).unwrap();
+        assert_eq!(sc.pruned, 12);
+        assert_eq!(blocks(ss), (1, 0, 1));
+        assert_eq!(blocks(ss), blocks(sm));
+        // The interpreter counts the same blocks, none compiled.
+        let interp = EvalOptions {
+            compiled: false,
+            ..Default::default()
+        };
+        let (_, si, _) = eval_gmdj_sub_segments(&b, &file, &op, &interp, false, None).unwrap();
+        assert_eq!(blocks(si), (1, 1, 0));
     }
 
     #[test]
