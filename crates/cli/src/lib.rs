@@ -467,10 +467,9 @@ impl Session {
         Ok(out)
     }
 
-    /// `\sync [workers [shards]]` — coordinator merge workers (and
-    /// optionally the shard count) for every executed plan. `1` worker is
-    /// the serial `BaseResult` path; more runs the sharded, pipelined
-    /// synchronization engine with each worker owning a fixed shard range.
+    /// `\sync [workers [shards]]` — merge workers (and optionally the
+    /// shard count) of the sharded, pipelined synchronization engine for
+    /// every executed plan; each worker owns a fixed shard range.
     fn cmd_sync(&mut self, args: &[&str]) -> Result<String> {
         let usage = || SkallaError::parse("usage: \\sync [workers [shards]]");
         if let Some(a) = args.first() {
@@ -486,13 +485,8 @@ impl Session {
             None => "default shards".to_string(),
         };
         Ok(format!(
-            "coordinator sync workers: {} ({}, {shards})",
-            self.coord_workers,
-            if self.coord_workers > 1 {
-                "sharded pipeline"
-            } else {
-                "serial"
-            }
+            "coordinator sync workers: {} (sharded pipeline, {shards})",
+            self.coord_workers
         ))
     }
 
@@ -562,26 +556,21 @@ impl Session {
             if r.sync_workers == 0 {
                 continue;
             }
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "{:<14} sync: decode {:.4}s, merge {:.4}s, finalize {:.4}s",
-                r.label, r.sync_decode_s, r.sync_merge_s, r.sync_finalize_s
+                "{:<14} sync: decode {:.4}s, merge {:.4}s, finalize {:.4}s \
+                 ({} workers × {} shards, {:.0}% busy, {:.2}× imbalance)",
+                r.label,
+                r.sync_decode_s,
+                r.sync_merge_s,
+                r.sync_finalize_s,
+                r.sync_workers,
+                r.sync_shards,
+                r.sync_utilization * 100.0,
+                r.sync_imbalance
             );
-            if r.sync_workers > 1 {
-                let _ = write!(
-                    out,
-                    " ({} workers × {} shards, {:.0}% busy, {:.2}× imbalance)",
-                    r.sync_workers,
-                    r.sync_shards,
-                    r.sync_utilization * 100.0,
-                    r.sync_imbalance
-                );
-            } else {
-                let _ = write!(out, " (serial)");
-            }
-            let _ = writeln!(out);
         }
-        if m.rounds.iter().any(|r| r.sync_workers > 1) {
+        if m.rounds.iter().any(|r| r.sync_workers > 0) {
             let _ = writeln!(
                 out,
                 "sync worker imbalance: {:.2}× (busiest/mean merge seconds)",
@@ -1004,7 +993,7 @@ commands:
   \\replicate [r]          partition replication factor (ring) for the next \\load;
                           r > 1 makes `\\degrade failover` give exact answers
   \\failover               replica placement + failover counters of the last query
-  \\sync [workers [shards]] coordinator merge workers (>1 = sharded sync pipeline)
+  \\sync [workers [shards]] merge workers (and shards) of the sharded sync pipeline
   \\skew [mode]            skew-aware execution: auto (planner decides) | off |
                           on [split_threshold [offload_factor]]
   \\segments [prune …]     out-of-core storage status + last query's zone-map pruning
@@ -1350,7 +1339,10 @@ MD COUNT(*) AS orders, AVG(extendedprice) AS avg_price
         let Outcome::Continue(out) = s.handle_line("\\sync") else {
             panic!()
         };
-        assert_eq!(out, "coordinator sync workers: 1 (serial, default shards)");
+        assert_eq!(
+            out,
+            "coordinator sync workers: 1 (sharded pipeline, default shards)"
+        );
         let Outcome::Continue(out) = s.handle_line("\\sync 4") else {
             panic!()
         };
@@ -1382,8 +1374,8 @@ MD COUNT(*) AS orders, AVG(extendedprice) AS avg_price
         };
         assert!(out.contains("usage"), "{out}");
 
-        // Sharded and serial runs agree on results; \metrics distinguishes
-        // them at the prompt.
+        // Every worker count runs the sharded pipeline: four workers and
+        // one agree on results, and \metrics reports each pool's shape.
         let sharded = s.run_query(QUERY).unwrap();
         let Outcome::Continue(m) = s.handle_line("\\metrics") else {
             panic!()
@@ -1391,13 +1383,13 @@ MD COUNT(*) AS orders, AVG(extendedprice) AS avg_price
         assert!(m.contains("workers × "), "{m}");
         assert!(m.contains("sync: decode"), "{m}");
         s.handle_line("\\sync 1");
-        let serial = s.run_query(QUERY).unwrap();
+        let one_worker = s.run_query(QUERY).unwrap();
         let Outcome::Continue(m) = s.handle_line("\\metrics") else {
             panic!()
         };
-        assert!(m.contains("(serial)"), "{m}");
+        assert!(m.contains("(1 workers × 1 shards"), "{m}");
         let table = |s: &str| s.split("--").next().unwrap().to_string();
-        assert_eq!(table(&sharded), table(&serial));
+        assert_eq!(table(&sharded), table(&one_worker));
     }
 
     #[test]

@@ -1,4 +1,11 @@
-//! The coordinator's base-result structure `X`.
+//! The reference base-result structure `X`.
+//!
+//! No query path synchronizes through this module: every coordinator and
+//! mid-tier runs [`ShardedSync`](crate::sync::ShardedSync). [`BaseResult`]
+//! is the single-threaded, line-by-line statement of the paper's structure
+//! that the differential suites (`tests/sharded_sync.rs`, the `sync` unit
+//! tests), `benches/synchronization.rs` and the `coord_sync` gate compare
+//! the engine against, bit for bit.
 //!
 //! "The base-results structure maintained at the coordinator is indexed on
 //! K, which allows us to efficiently determine RNG(X, t, θ_K) for any tuple

@@ -25,16 +25,18 @@
 //! * [`plan`] — [`DistPlan`]: the distributed evaluation plan (rounds,
 //!   reduction flags, synchronization segments).
 //! * [`message`] — the coordinator↔site protocol and its wire encoding.
-//! * [`baseresult`] — the coordinator's key-indexed base-result structure
-//!   `X` and Theorem 1 synchronization.
+//! * [`baseresult`] — the single-threaded reference implementation of the
+//!   key-indexed base-result structure `X` (Theorem 1), which the
+//!   differential suites and the `coord_sync` gate compare
+//!   [`ShardedSync`] against.
 //! * [`metrics`] — per-round and per-query cost breakdown (site compute,
 //!   coordinator compute, communication; measured and modeled).
 //! * [`site`] — the site worker loop.
 //! * [`warehouse`] — [`DistributedWarehouse`]: launch sites, execute plans,
 //!   and the ship-all-detail-data baseline used to demonstrate Theorem 2.
 //! * [`sync`] — [`ShardedSync`]: the hash-partitioned, multi-worker
-//!   synchronization pipeline (parallel Theorem 1, bit-for-bit equivalent
-//!   to [`BaseResult`]).
+//!   synchronization pipeline every coordinator tier runs (parallel
+//!   Theorem 1, bit-for-bit equivalent to [`BaseResult`]).
 //! * [`tree`] — [`TieredWarehouse`]: the multi-tier coordinator topology
 //!   sketched in the paper's future work (§6).
 //! * [`checkpoint`] — round-granular coordinator checkpointing: a small WAL

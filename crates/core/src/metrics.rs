@@ -82,24 +82,24 @@ pub struct RoundMetrics {
     /// Seconds decoding reply fragments off the wire this round (formerly
     /// lumped into the synchronization time).
     pub sync_decode_s: f64,
-    /// Seconds merging fragments into the synchronized structure. For the
-    /// sharded pipeline this is summed *busy* worker time (work performed,
-    /// overlapped with receive); serially it is elapsed merge time.
+    /// Seconds merging fragments into the synchronized structure: summed
+    /// *busy* worker time of the sharded pipeline (work performed,
+    /// overlapped with receive).
     pub sync_merge_s: f64,
     /// Seconds finalizing the synchronized structure into the round's
     /// output relation.
     pub sync_finalize_s: f64,
-    /// Merge workers used by the synchronization this round (1 = serial
-    /// [`BaseResult`](crate::baseresult::BaseResult) path).
+    /// Merge workers of the [`ShardedSync`](crate::sync::ShardedSync)
+    /// pipeline this round (≥ 1; 0 for a round that ran no
+    /// synchronization engine, such as the distributed base round).
     pub sync_workers: usize,
-    /// Hash shards of the group space (1 for the serial path).
+    /// Hash shards of the group space.
     pub sync_shards: usize,
     /// Worker-pool utilization of the sharded pipeline this round
-    /// (busy / (workers × wall), 0 for the serial path).
+    /// (busy / (workers × wall)).
     pub sync_utilization: f64,
     /// Merge-load imbalance across sync workers this round (busiest
-    /// worker's busy seconds over the mean; 1.0 = perfectly balanced,
-    /// 0 for the serial path).
+    /// worker's busy seconds over the mean; 1.0 = perfectly balanced).
     pub sync_imbalance: f64,
     /// Out-of-core segments the sites decoded this round, summed across
     /// sites (0 when every detail partition was in memory).
@@ -286,7 +286,7 @@ impl ExecMetrics {
         self.rounds.iter().map(|r| r.sync_finalize_s).sum()
     }
 
-    /// Largest worker pool any round synchronized with (1 = fully serial).
+    /// Largest worker pool any round synchronized with.
     pub fn sync_workers(&self) -> usize {
         self.rounds
             .iter()
@@ -300,27 +300,29 @@ impl ExecMetrics {
         self.rounds.iter().map(|r| r.sync_shards).max().unwrap_or(0)
     }
 
-    /// Mean worker utilization over the rounds that ran the sharded
-    /// pipeline (0 when every round was serial).
+    /// Mean worker utilization over the rounds that synchronized (0 when
+    /// none did).
     pub fn sync_utilization(&self) -> f64 {
-        let sharded: Vec<&RoundMetrics> =
-            self.rounds.iter().filter(|r| r.sync_workers > 1).collect();
-        if sharded.is_empty() {
-            0.0
-        } else {
-            sharded.iter().map(|r| r.sync_utilization).sum::<f64>() / sharded.len() as f64
-        }
+        self.mean_over_synced(|r| r.sync_utilization)
     }
 
-    /// Mean merge-load imbalance over the rounds that ran the sharded
-    /// pipeline (0 when every round was serial).
+    /// Mean merge-load imbalance over the rounds that synchronized (0 when
+    /// none did).
     pub fn sync_imbalance(&self) -> f64 {
-        let sharded: Vec<&RoundMetrics> =
-            self.rounds.iter().filter(|r| r.sync_workers > 1).collect();
-        if sharded.is_empty() {
+        self.mean_over_synced(|r| r.sync_imbalance)
+    }
+
+    fn mean_over_synced(&self, f: impl Fn(&RoundMetrics) -> f64) -> f64 {
+        let synced: Vec<f64> = self
+            .rounds
+            .iter()
+            .filter(|r| r.sync_workers > 0)
+            .map(f)
+            .collect();
+        if synced.is_empty() {
             0.0
         } else {
-            sharded.iter().map(|r| r.sync_imbalance).sum::<f64>() / sharded.len() as f64
+            synced.iter().sum::<f64>() / synced.len() as f64
         }
     }
 
@@ -421,20 +423,16 @@ impl ExecMetrics {
         }
         if self.rounds.iter().any(|r| r.sync_workers > 0) {
             s.push_str(&format!(
-                " | sync: decode {:.4}s, merge {:.4}s, finalize {:.4}s",
+                " | sync: decode {:.4}s, merge {:.4}s, finalize {:.4}s \
+                 ({} workers × {} shards, {:.0}% busy, {:.2}× imbalance)",
                 self.sync_decode_s(),
                 self.sync_merge_s(),
                 self.sync_finalize_s(),
+                self.sync_workers(),
+                self.sync_shards(),
+                self.sync_utilization() * 100.0,
+                self.sync_imbalance(),
             ));
-            if self.sync_workers() > 1 {
-                s.push_str(&format!(
-                    " ({} workers × {} shards, {:.0}% busy, {:.2}× imbalance)",
-                    self.sync_workers(),
-                    self.sync_shards(),
-                    self.sync_utilization() * 100.0,
-                    self.sync_imbalance(),
-                ));
-            }
         }
         if self.site_attempts.values().any(|&n| n > 1) {
             if let Some(h) = self.attempts_histogram() {

@@ -235,9 +235,8 @@ pub struct DistPlan {
     /// Threads each site uses for its local GMDJ scans (Theorem 1 applied
     /// within the site); `0`/`1` evaluates serially.
     pub site_parallelism: usize,
-    /// Merge workers the coordinator (and every mid-tier) uses for
-    /// synchronization via the sharded pipeline; `0`/`1` uses the serial
-    /// [`BaseResult`](crate::baseresult::BaseResult) path.
+    /// Merge worker threads of the [`crate::sync::ShardedSync`] pipeline
+    /// the coordinator (and every mid-tier) synchronizes with; at least 1.
     pub coord_parallelism: usize,
     /// Hash shards of the synchronization group space (rounded up to a
     /// power of two). `None` picks the [`crate::sync::SyncOptions`]
@@ -293,9 +292,8 @@ impl DistPlan {
         self
     }
 
-    /// Set the coordinator (and mid-tier) synchronization parallelism:
-    /// with `workers > 1` every synchronization runs through the sharded
-    /// pipeline of [`crate::sync::ShardedSync`].
+    /// Set the merge worker count of the coordinator (and mid-tier)
+    /// [`crate::sync::ShardedSync`] pipeline (clamped to at least 1).
     pub fn with_coord_parallelism(mut self, workers: usize) -> DistPlan {
         self.coord_parallelism = workers.max(1);
         self

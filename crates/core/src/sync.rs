@@ -1,10 +1,12 @@
-//! Sharded, pipelined synchronization (the parallel Theorem 1 path).
+//! Sharded, pipelined synchronization: the one Theorem 1 engine every
+//! coordinator tier runs.
 //!
-//! The serial [`BaseResult`](crate::baseresult::BaseResult) synchronizes
-//! O(|H|) but on one thread, re-hashing a freshly allocated `Vec<Value>`
-//! key per fragment row. At coordinator-bound scale (many groups × many
-//! sites) that merge loop *is* the response time. [`ShardedSync`]
-//! parallelizes it the way morsel-driven engines partition aggregation:
+//! The reference [`BaseResult`](crate::baseresult::BaseResult)
+//! synchronizes O(|H|) but on one thread, re-hashing a freshly allocated
+//! `Vec<Value>` key per fragment row. At coordinator-bound scale (many
+//! groups × many sites) that merge loop *is* the response time.
+//! [`ShardedSync`] parallelizes it the way morsel-driven engines partition
+//! aggregation:
 //!
 //! * the group space is hash-partitioned into `shards` (a power of two)
 //!   disjoint shards by a key hash computed **once** per row;
@@ -99,8 +101,8 @@ pub enum SyncOutput {
     /// Finalized aggregate outputs (the coordinator's `B_k`), under these
     /// fields.
     Finalized(Vec<Field>),
-    /// Raw sub-aggregate state columns (the mid-tier ship format of
-    /// `BaseResult::to_state_relation`).
+    /// Raw sub-aggregate state columns (the mid-tier ship format,
+    /// identical to `BaseResult::to_state_relation`).
     State,
 }
 
@@ -762,6 +764,19 @@ impl ShardedSync {
             .expect("sync error slot")
             .take()
             .unwrap_or_else(|| SkallaError::exec("sync worker terminated"))
+    }
+}
+
+impl Drop for ShardedSync {
+    /// An engine dropped without [`ShardedSync::finish`] (a round that
+    /// failed mid-collection) still joins its workers: closing the queues
+    /// ends each one once its queued batches drain. Worker errors are
+    /// ignored here; `finish` is the method that reports them.
+    fn drop(&mut self) {
+        self.txs.clear();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 //! [`TieredWarehouse::execute`] ignores `coord_filters` (dropping a
 //! reduction is always sound).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,22 +25,12 @@ use skalla_net::{CostModel, Endpoint, FaultPlan, NodeId, SimNetwork};
 use skalla_storage::Catalog;
 use skalla_types::{DataType, Relation, Result, Schema, SkallaError};
 
-use crate::baseresult::BaseResult;
 use crate::message::Message;
 use crate::metrics::ExecMetrics;
 use crate::plan::{DistPlan, RetryPolicy};
 use crate::site::run_site_with_parent;
-use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec};
-use crate::warehouse::DistributedWarehouse;
-
-/// The structure a mid-tier pre-synchronizes its cluster's fragments into:
-/// serial, or the sharded pipeline when the plan carries
-/// `coord_parallelism > 1` (the same knob the root uses — every tier of the
-/// tree runs the same synchronization engine).
-enum ClusterSync {
-    Serial(BaseResult),
-    Sharded(ShardedSync),
-}
+use crate::sync::{ShardedSync, SyncOutput, SyncSpec};
+use crate::warehouse::{sync_options_for, DistributedWarehouse};
 
 /// A two-level warehouse: root coordinator → mid-tier coordinators → sites.
 pub struct TieredWarehouse {
@@ -185,6 +176,7 @@ fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
         plan: None,
         epoch: 0,
         round: 0,
+        shutdown: Cell::new(false),
     };
     loop {
         let env = match endpoint.recv() {
@@ -234,6 +226,12 @@ fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
                 );
             }
         }
+        if state.shutdown.get() {
+            // The root's Shutdown arrived while a child collection was in
+            // progress: relay it now that the collection has aborted.
+            let _ = state.handle(&endpoint, &children, Message::Shutdown);
+            return;
+        }
         if shutdown {
             return;
         }
@@ -248,6 +246,10 @@ struct MidState {
     /// Round number of the request currently being relayed (echoed by the
     /// children and back to the root).
     round: u32,
+    /// Set when the root's `Shutdown` arrives during a child collection.
+    /// It is framed under round 0, so the straggler filter would otherwise
+    /// drop it and leave the relay loop waiting forever.
+    shutdown: Cell<bool>,
 }
 
 impl MidState {
@@ -469,6 +471,10 @@ impl MidState {
                 continue; // loop re-checks the deadline
             };
             let (epoch, round, msg) = Message::from_wire_framed(&env.payload)?;
+            if env.src == 0 && matches!(msg, Message::Shutdown) {
+                self.shutdown.set(true);
+                return Err(SkallaError::exec("mid-tier shut down during collection"));
+            }
             if epoch != self.epoch || round != self.round {
                 continue; // straggler from an aborted query or earlier round
             }
@@ -536,11 +542,11 @@ impl MidState {
     )> {
         let plan = self.plan.as_ref().expect("checked in segment_specs");
         let key = plan.expr.key.clone();
-        let workers = plan.coord_parallelism;
-        let sync_shards = plan.sync_shards;
         let state_width: usize = specs.iter().map(AggSpec::state_width).sum();
 
-        let mut x: Option<ClusterSync> = None;
+        // The mid-tier pre-synchronizes its cluster with the root's engine
+        // and the root's knobs.
+        let mut x: Option<ShardedSync> = None;
         let mut pending = num_children;
         let mut max_s: f64 = 0.0;
         let mut total_bc = 0u32;
@@ -621,50 +627,101 @@ impl MidState {
                     let base_width = h.schema().len() - state_width;
                     let base_cols: Vec<usize> = (0..base_width).collect();
                     let base_schema = Arc::new(h.schema().project(&base_cols)?);
-                    let sync = if workers > 1 {
-                        // Declared state types come off the fragment's
-                        // schema tail (site ship schemas carry them).
-                        let state_types: Vec<DataType> = h.schema().fields()[base_width..]
-                            .iter()
-                            .map(|f| f.dtype)
-                            .collect();
-                        ClusterSync::Sharded(ShardedSync::new(
-                            SyncSpec {
-                                base_schema,
-                                key_cols: key.clone(),
-                                specs: specs.clone(),
-                                state_types,
-                                output: SyncOutput::State,
-                                allow_new: true,
-                            },
-                            None,
-                            match sync_shards {
-                                Some(s) => SyncOptions::for_workers(workers).with_shards(s),
-                                None => SyncOptions::for_workers(workers),
-                            },
-                        )?)
-                    } else {
-                        ClusterSync::Serial(BaseResult::empty(
+                    // Declared state types come off the fragment's
+                    // schema tail (site ship schemas carry them).
+                    let state_types: Vec<DataType> = h.schema().fields()[base_width..]
+                        .iter()
+                        .map(|f| f.dtype)
+                        .collect();
+                    let sync = ShardedSync::new(
+                        SyncSpec {
                             base_schema,
-                            &key,
-                            specs.clone(),
-                            Vec::new(),
-                        ))
-                    };
+                            key_cols: key.clone(),
+                            specs: specs.clone(),
+                            state_types,
+                            output: SyncOutput::State,
+                            allow_new: true,
+                        },
+                        None,
+                        sync_options_for(plan),
+                    )?;
                     x = Some(sync);
                     x.as_mut().expect("just set")
                 }
             };
-            match x {
-                ClusterSync::Serial(b) => b.merge_fragment(&h, true)?,
-                ClusterSync::Sharded(s) => s.merge_chunk(h)?,
-            }
+            x.merge_chunk(h)?;
         }
         let merged = match x {
-            Some(ClusterSync::Serial(b)) => b.to_state_relation()?,
-            Some(ClusterSync::Sharded(s)) => s.finish()?.0,
+            Some(s) => s.finish()?.0,
             None => return Err(SkallaError::exec("mid-tier cluster produced no fragments")),
         };
         Ok((merged, max_s, total_bc, total_bi, sketches, seg))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    use skalla_expr::Expr;
+    use skalla_gmdj::{BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
+
+    use super::*;
+    use crate::plan::DegradedMode;
+
+    /// A root `Shutdown` that arrives while the mid-tier waits on a silent
+    /// child must end the relay loop and reach the child, not be dropped
+    /// as a straggler of the collection (which left the relay loop, and
+    /// the root's join, waiting forever).
+    #[test]
+    fn shutdown_during_a_child_collection_ends_the_mid_tier() {
+        let (_net, mut eps) = SimNetwork::full_mesh(3, CostModel::free());
+        let child = eps.pop().expect("child endpoint");
+        let mid = eps.pop().expect("mid-tier endpoint");
+        let root = eps.pop().expect("root endpoint");
+        let expr = GmdjExpr::new(
+            BaseSpec::DistinctProject { cols: vec![0] },
+            "flow",
+            vec![GmdjOp::new(vec![GmdjBlock::new(
+                vec![AggSpec::count_star("c")],
+                Expr::base(0).eq(Expr::detail(0)),
+            )])],
+            vec![0],
+        )
+        .unwrap();
+        // A recv budget far beyond the test's own bound.
+        let plan = DistPlan::unoptimized(expr).with_retry_policy(RetryPolicy {
+            deadline: Duration::from_secs(60),
+            max_retries: 0,
+            backoff: 1.0,
+            degraded: DegradedMode::Fail,
+        });
+        let (done_tx, done_rx) = mpsc::channel();
+        let relay = std::thread::spawn(move || {
+            run_midtier(mid, vec![2]);
+            let _ = done_tx.send(());
+        });
+        root.send(1, Message::Plan(plan).to_wire_framed(1, 1))
+            .unwrap();
+        let compute = Message::ComputeBase {
+            parts: None,
+            task: 0,
+        };
+        root.send(1, compute.to_wire_framed(1, 2)).unwrap();
+        let relayed = |ep: &Endpoint| {
+            let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
+            Message::from_wire_framed(&env.payload).unwrap().2
+        };
+        assert!(matches!(relayed(&child), Message::Plan(_)));
+        assert!(matches!(relayed(&child), Message::ComputeBase { .. }));
+
+        // The child stays silent; the root shuts the tree down.
+        root.send_reliable(1, Message::Shutdown.to_wire_framed(1, 0))
+            .unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("mid-tier relay loop exits on Shutdown");
+        relay.join().unwrap();
+        assert!(matches!(relayed(&child), Message::Shutdown));
     }
 }

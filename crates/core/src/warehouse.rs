@@ -28,7 +28,6 @@ use skalla_storage::{
 };
 use skalla_types::{DataType, Field, Relation, Result, Schema, SkallaError, Value};
 
-use crate::baseresult::BaseResult;
 use crate::checkpoint::{plan_fingerprint, CheckpointRecord, CheckpointWal};
 use crate::message::{Message, ScrubEntry};
 use crate::metrics::{Coverage, ExecMetrics, RoundMetrics};
@@ -36,17 +35,10 @@ use crate::plan::{BaseRound, DegradedMode, DistPlan, RetryPolicy, Segment};
 use crate::site::run_site;
 use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec};
 
-/// The synchronization structure a segment round merges fragments into:
-/// the serial [`BaseResult`] or the sharded pipeline, per
-/// [`DistPlan::coord_parallelism`].
-enum Syncer {
-    Serial(BaseResult),
-    Sharded(ShardedSync),
-}
-
 /// The sync pipeline knobs a plan implies: `coord_parallelism` workers
 /// with the default shard fan-out unless the plan pins a shard count.
-fn sync_options_for(plan: &DistPlan) -> SyncOptions {
+/// Every tier (root coordinator and mid-tiers) synchronizes with these.
+pub(crate) fn sync_options_for(plan: &DistPlan) -> SyncOptions {
     let opts = SyncOptions::for_workers(plan.coord_parallelism);
     match plan.sync_shards {
         Some(s) => opts.with_shards(s),
@@ -1750,7 +1742,11 @@ impl<'a> QueryRun<'a> {
         });
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
-        let mut combined: Option<Relation> = None;
+        // Fragments are staged per source site and unioned in ascending
+        // site order, so `B₀`'s row order — and with it every later
+        // round's group order — depends only on the data and the plan,
+        // never on reply arrival (retransmit) timing.
+        let mut staged: BTreeMap<NodeId, Vec<Relation>> = BTreeMap::new();
         let mut sketches: Vec<PartSketch> = Vec::new();
         let mut coord_s = 0.0;
         let mut decode_s = 0.0;
@@ -1765,7 +1761,7 @@ impl<'a> QueryRun<'a> {
             &mut decode_s,
             &mut self.metrics.checksum_failures,
             fo_round.as_mut(),
-            &mut |_src, msg| {
+            &mut |src, msg| {
                 let Message::BaseFragment {
                     rel,
                     compute_s,
@@ -1779,10 +1775,7 @@ impl<'a> QueryRun<'a> {
                 site_times.push(compute_s);
                 rows_up += rel.len() as u64;
                 sketches.extend(sketch);
-                match &mut combined {
-                    None => combined = Some(rel),
-                    Some(acc) => acc.union_all(rel)?,
-                }
+                staged.entry(src).or_default().push(rel);
                 coord_s += t.elapsed().as_secs_f64();
                 Ok(())
             },
@@ -1793,9 +1786,14 @@ impl<'a> QueryRun<'a> {
             self.absorb_sketches(&table, &sketches);
         }
         let t = Instant::now();
-        let b0 = combined
-            .ok_or_else(|| SkallaError::exec("no base fragments received"))?
-            .distinct();
+        let mut frags = staged.into_values().flatten();
+        let mut b0 = frags
+            .next()
+            .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
+        for rel in frags {
+            b0.union_all(rel)?;
+        }
+        let b0 = b0.distinct();
         coord_s += t.elapsed().as_secs_f64();
         let groups = b0.len();
         let mut rm = wh.round_metrics_from(
@@ -1862,43 +1860,24 @@ impl<'a> QueryRun<'a> {
         let before = wh.net.stats();
         let t_coord = Instant::now();
 
-        let mut x = if plan.coord_parallelism > 1 {
-            let (base_schema, seed) = if local_base {
-                (Arc::new(expr.base_schema(&default_schema)?), None)
-            } else {
-                let base =
-                    current.ok_or_else(|| SkallaError::exec("segment has no base relation"))?;
-                (base.schema().clone(), Some(base))
-            };
-            Syncer::Sharded(ShardedSync::new(
-                SyncSpec {
-                    base_schema,
-                    key_cols: expr.key.clone(),
-                    specs,
-                    state_types,
-                    output: SyncOutput::Finalized(output_fields),
-                    allow_new: local_base,
-                },
-                seed,
-                sync_options_for(plan),
-            )?)
-        } else if local_base {
-            let b0_schema = Arc::new(expr.base_schema(&default_schema)?);
-            Syncer::Serial(BaseResult::empty(
-                b0_schema,
-                &expr.key,
-                specs,
-                output_fields,
-            ))
+        let (base_schema, seed) = if local_base {
+            (Arc::new(expr.base_schema(&default_schema)?), None)
         } else {
             let base = current.ok_or_else(|| SkallaError::exec("segment has no base relation"))?;
-            Syncer::Serial(BaseResult::from_base(
-                base,
-                &expr.key,
-                specs,
-                output_fields,
-            )?)
+            (base.schema().clone(), Some(base))
         };
+        let mut x = ShardedSync::new(
+            SyncSpec {
+                base_schema,
+                key_cols: expr.key.clone(),
+                specs,
+                state_types,
+                output: SyncOutput::Finalized(output_fields),
+                allow_new: local_base,
+            },
+            seed,
+            sync_options_for(plan),
+        )?;
 
         // Ship requests. For a multi-operator local run, a group must
         // reach site i if it could contribute to ANY operator in the
@@ -2118,14 +2097,10 @@ impl<'a> QueryRun<'a> {
                 let t = Instant::now();
                 rows_up += h.len() as u64;
                 sketches.extend(sketch);
-                match &mut x {
-                    // Serial: the closure time IS the merge time.
-                    Syncer::Serial(b) => b.merge_fragment(&h, local_base)?,
-                    // Sharded: the closure time is the router
-                    // (validate + partition); merging happens on the
-                    // worker pool, overlapped with receive.
-                    Syncer::Sharded(s) => s.merge_chunk(h)?,
-                }
+                // The closure time is the router (validate + partition);
+                // merging happens on the worker pool, overlapped with
+                // receive.
+                x.merge_chunk(h)?;
                 if last {
                     site_times.push(compute_s);
                 }
@@ -2137,46 +2112,15 @@ impl<'a> QueryRun<'a> {
         if let Some(table) = &skew_table {
             self.absorb_sketches(table, &sketches);
         }
-        let t_final = Instant::now();
-        let (finalized, merge_s, finalize_s, workers, shards, utilization, imbalance, sync_tail_s) =
-            match x {
-                Syncer::Serial(b) => {
-                    let rel = b.finalize()?;
-                    let fin_s = t_final.elapsed().as_secs_f64();
-                    (
-                        rel,
-                        coord_sync_s,
-                        fin_s,
-                        1,
-                        1,
-                        0.0,
-                        0.0,
-                        coord_sync_s + fin_s,
-                    )
-                }
-                Syncer::Sharded(s) => {
-                    let (rel, stats) = s.finish()?;
-                    (
-                        rel,
-                        stats.merge_busy_s,
-                        stats.finalize_s,
-                        stats.workers,
-                        stats.shards,
-                        stats.utilization(),
-                        stats.imbalance(),
-                        // The serialized (non-overlapped) coordinator
-                        // cost: routing plus the drain after the last
-                        // chunk.
-                        coord_sync_s + stats.drain_s,
-                    )
-                }
-            };
+        let (finalized, stats) = x.finish()?;
         let groups = finalized.len();
         let mut rm = wh.round_metrics_from(
             label,
             &before,
             &site_times,
-            coord_prep_s + decode_s + sync_tail_s,
+            // The serialized (non-overlapped) coordinator cost: routing
+            // plus the drain after the last chunk.
+            coord_prep_s + decode_s + coord_sync_s + stats.drain_s,
             groups,
             rows_down,
             rows_up,
@@ -2184,12 +2128,12 @@ impl<'a> QueryRun<'a> {
         rm.blocks_compiled = blocks_compiled;
         rm.blocks_interpreted = blocks_interpreted;
         rm.sync_decode_s = decode_s;
-        rm.sync_merge_s = merge_s;
-        rm.sync_finalize_s = finalize_s;
-        rm.sync_workers = workers;
-        rm.sync_shards = shards;
-        rm.sync_utilization = utilization;
-        rm.sync_imbalance = imbalance;
+        rm.sync_merge_s = stats.merge_busy_s;
+        rm.sync_finalize_s = stats.finalize_s;
+        rm.sync_workers = stats.workers;
+        rm.sync_shards = stats.shards;
+        rm.sync_utilization = stats.utilization();
+        rm.sync_imbalance = stats.imbalance();
         rm.segments_scanned = segments_scanned;
         rm.segments_pruned = segments_pruned;
         rm.blocks_verified = blocks_verified;

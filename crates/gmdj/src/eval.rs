@@ -702,21 +702,6 @@ pub fn eval_gmdj_sub_segments(
     Ok((rel, stats, seg))
 }
 
-/// Segment-backed [`eval_gmdj_full`]: finalized output columns computed
-/// out-of-core.
-pub fn eval_gmdj_full_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Relation, EvalStats, SegScanStats)> {
-    let ((states, _, stats), seg) = accumulate_segments(base, file, op, opts, prune, range)?;
-    let rel = shape_full(base, file.schema(), op, &states)?;
-    Ok((rel, stats, seg))
-}
-
 /// Segment-backed [`eval_gmdj_dual`]: both views of one out-of-core pass,
 /// for synchronization-reduced local runs over disk-resident partitions.
 pub fn eval_gmdj_dual_segments(
@@ -1396,15 +1381,13 @@ mod tests {
         // A window cutting through segment interiors (300..2050).
         let window = t.row_range(300, 2050).unwrap();
         let (mem, _) = eval_gmdj_full(&b, &window, &schema, &op, &opts).unwrap();
-        let (seg, _, sc) =
-            eval_gmdj_full_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
-        assert_eq!(seg.sorted(), mem.sorted());
+        let (dual_seg, sc) =
+            eval_gmdj_dual_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
+        assert_eq!(dual_seg.full.sorted(), mem.sorted());
         // Rows 300..2050 touch segments 1..=8 of 12.
         assert_eq!(sc.scanned + sc.pruned, 8);
-        // Dual agrees too.
+        // The state view agrees too.
         let dual_mem = eval_gmdj_dual(&b, &window, &schema, &op, &opts).unwrap();
-        let (dual_seg, _) =
-            eval_gmdj_dual_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
         assert_eq!(dual_seg.full.sorted(), dual_mem.full.sorted());
         assert_eq!(dual_seg.states, dual_mem.states);
         assert_eq!(dual_seg.match_counts, dual_mem.match_counts);
@@ -1447,8 +1430,8 @@ mod tests {
             )]);
             let opts = EvalOptions::default();
             let (mem, _) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
-            let (seg, _, _) = eval_gmdj_full_segments(&b, &file, &op, &opts, true, None).unwrap();
-            assert_eq!(seg.sorted(), mem.sorted());
+            let (seg, _) = eval_gmdj_dual_segments(&b, &file, &op, &opts, true, None).unwrap();
+            assert_eq!(seg.full.sorted(), mem.sorted());
         }
     }
 

@@ -40,9 +40,8 @@ pub use agg::{AggFunc, AggSpec};
 pub use centralized::eval_expr_centralized;
 pub use coalesce::{coalesce_chain, try_coalesce};
 pub use eval::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_full, eval_gmdj_full_segments,
-    eval_gmdj_sub, eval_gmdj_sub_segments, DualResult, EvalOptions, EvalStats, LocalStrategy,
-    SegScanStats,
+    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_full, eval_gmdj_sub, eval_gmdj_sub_segments,
+    DualResult, EvalOptions, EvalStats, LocalStrategy, SegScanStats,
 };
 pub use olap::{
     build_cube_base, build_rollup_base, cube_expr, cube_theta, multi_feature_expr, rollup_expr,

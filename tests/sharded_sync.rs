@@ -1,8 +1,10 @@
 //! Differential coverage for the sharded parallel synchronization
-//! pipeline: the parallel merge must agree **bit-for-bit** with the serial
-//! [`BaseResult`] path — 3VL nulls, `-0.0`, and float `AVG` merge order
-//! included — across shard/worker counts and chunked (row-blocked)
-//! replies, and must survive a lossy, duplicating network unchanged.
+//! pipeline, the only engine on the query path: the parallel merge must
+//! agree **bit-for-bit** with the reference [`BaseResult`] — 3VL nulls,
+//! `-0.0`, and float `AVG` merge order included — across shard/worker
+//! counts and chunked (row-blocked) replies, and end to end it must match
+//! the centralized evaluator and survive a lossy, duplicating network
+//! unchanged.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -460,6 +462,14 @@ fn flow_query() -> GmdjExpr {
     .unwrap()
 }
 
+/// The centralized evaluator's answer over the unpartitioned table: the
+/// end-to-end reference that does not go through the engine under test.
+fn flow_centralized(rows: usize) -> Relation {
+    let mut c = Catalog::new();
+    c.register("flow", flow_table(rows));
+    eval_expr_centralized(&flow_query(), &c).unwrap()
+}
+
 fn flow_catalogs(rows: usize, sites: usize) -> Vec<Catalog> {
     let parts = partition_by_hash(&flow_table(rows), 0, sites).unwrap();
     parts
@@ -482,9 +492,10 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// Drop + duplicate faults with row blocking and a 4-worker coordinator:
-/// retransmission and chunk-sequence dedup must feed the parallel pipeline
-/// each chunk exactly once, reproducing the fault-free serial answer.
+/// Drop + duplicate faults with row blocking and a 4- or 1-worker
+/// coordinator: retransmission and chunk-sequence dedup must feed the
+/// pipeline each chunk exactly once, reproducing the fault-free default
+/// run and the centralized answer.
 #[test]
 fn faulty_network_parallel_pipeline_matches_serial() {
     let serial_wh = DistributedWarehouse::launch(flow_catalogs(260, 4), CostModel::free()).unwrap();
@@ -492,24 +503,34 @@ fn faulty_network_parallel_pipeline_matches_serial() {
         .execute(&DistPlan::unoptimized(flow_query()))
         .unwrap();
     serial_wh.shutdown().unwrap();
+    assert_rows_bits_eq(
+        &serial.sorted(),
+        &flow_centralized(260).sorted(),
+        "fault-free vs centralized",
+    );
 
-    let faults = FaultPlan::seeded(0x5A4D)
-        .with_drop_rate(0.15)
-        .with_dup_rate(0.3);
-    let wh =
-        DistributedWarehouse::launch_with_faults(flow_catalogs(260, 4), CostModel::free(), faults)
-            .unwrap();
-    let plan = DistPlan::unoptimized(flow_query())
-        .with_block_rows(16)
-        .with_coord_parallelism(4)
-        .with_retry_policy(fast_retry());
-    let (parallel, metrics) = wh.execute(&plan).unwrap();
-    wh.shutdown().unwrap();
+    for workers in [4, 1] {
+        let faults = FaultPlan::seeded(0x5A4D)
+            .with_drop_rate(0.15)
+            .with_dup_rate(0.3);
+        let wh = DistributedWarehouse::launch_with_faults(
+            flow_catalogs(260, 4),
+            CostModel::free(),
+            faults,
+        )
+        .unwrap();
+        let plan = DistPlan::unoptimized(flow_query())
+            .with_block_rows(16)
+            .with_coord_parallelism(workers)
+            .with_retry_policy(fast_retry());
+        let (parallel, metrics) = wh.execute(&plan).unwrap();
+        wh.shutdown().unwrap();
 
-    assert_rows_bits_eq(&parallel.sorted(), &serial.sorted(), "faulty parallel");
-    assert_eq!(metrics.sync_workers(), 4);
-    assert!(metrics.sync_shards() >= 4);
-    assert!(metrics.summary().contains("sync: decode"));
+        assert_rows_bits_eq(&parallel.sorted(), &serial.sorted(), "faulty parallel");
+        assert_eq!(metrics.sync_workers(), workers);
+        assert!(metrics.sync_shards() >= workers);
+        assert!(metrics.summary().contains("sync: decode"));
+    }
 }
 
 /// Deterministic replay: same faults, same parallel plan, twice — the
@@ -539,20 +560,28 @@ fn faulty_parallel_runs_are_deterministic() {
 }
 
 /// The tiered topology reuses the engine for mid-tier pre-synchronization:
-/// a parallel tree run must match the serial flat run exactly.
+/// a tree run with 4 or 1 workers per tier must match the default flat run
+/// and the centralized answer exactly.
 #[test]
 fn parallel_mid_tier_presync_matches_flat() {
     let catalogs = flow_catalogs(300, 8);
     let flat = DistributedWarehouse::launch(catalogs.clone(), CostModel::free()).unwrap();
     let (expected, _) = flat.execute(&DistPlan::unoptimized(flow_query())).unwrap();
     flat.shutdown().unwrap();
+    assert_rows_bits_eq(
+        &expected.sorted(),
+        &flow_centralized(300).sorted(),
+        "flat vs centralized",
+    );
 
-    let tw = TieredWarehouse::launch(catalogs, 3, CostModel::free()).unwrap();
-    let plan = DistPlan::unoptimized(flow_query())
-        .with_block_rows(32)
-        .with_coord_parallelism(4);
-    let (result, _) = tw.execute(&plan).unwrap();
-    tw.shutdown().unwrap();
+    for workers in [4, 1] {
+        let tw = TieredWarehouse::launch(catalogs.clone(), 3, CostModel::free()).unwrap();
+        let plan = DistPlan::unoptimized(flow_query())
+            .with_block_rows(32)
+            .with_coord_parallelism(workers);
+        let (result, _) = tw.execute(&plan).unwrap();
+        tw.shutdown().unwrap();
 
-    assert_rows_bits_eq(&result.sorted(), &expected.sorted(), "tiered parallel");
+        assert_rows_bits_eq(&result.sorted(), &expected.sorted(), "tiered parallel");
+    }
 }
