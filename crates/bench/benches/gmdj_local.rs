@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skalla_expr::Expr;
 use skalla_gmdj::{eval_gmdj_full, AggSpec, EvalOptions, GmdjBlock, GmdjOp, LocalStrategy};
-use skalla_storage::Table;
+use skalla_storage::{ScanSource, Table};
 use skalla_types::{DataType, Schema, Value};
 
 fn table(rows: usize, groups: i64) -> Table {
@@ -40,7 +40,9 @@ fn bench_strategies(c: &mut Criterion) {
         let base = t.distinct_project(&[0]).unwrap();
         let op = count_avg_op();
         group.bench_with_input(BenchmarkId::new("hash", groups), &groups, |b, _| {
-            b.iter(|| eval_gmdj_full(&base, &t, t.schema(), &op, &EvalOptions::default()).unwrap())
+            b.iter(|| {
+                eval_gmdj_full(&base, &ScanSource::table(&t), &op, &EvalOptions::default()).unwrap()
+            })
         });
         // Nested loop is O(|B|·|R|); keep it to the small-group case.
         if groups <= 100 {
@@ -49,7 +51,7 @@ fn bench_strategies(c: &mut Criterion) {
                 ..Default::default()
             };
             group.bench_with_input(BenchmarkId::new("nested_loop", groups), &groups, |b, _| {
-                b.iter(|| eval_gmdj_full(&base, &t, t.schema(), &op, &opts).unwrap())
+                b.iter(|| eval_gmdj_full(&base, &ScanSource::table(&t), &op, &opts).unwrap())
             });
         }
     }
@@ -66,7 +68,8 @@ fn bench_match_count_overhead(c: &mut Criterion) {
     let op = count_avg_op();
     group.bench_function("without", |b| {
         b.iter(|| {
-            skalla_gmdj::eval_gmdj_sub(&base, &t, t.schema(), &op, &EvalOptions::default()).unwrap()
+            skalla_gmdj::eval_gmdj_sub(&base, &ScanSource::table(&t), &op, &EvalOptions::default())
+                .unwrap()
         })
     });
     let opts = EvalOptions {
@@ -74,7 +77,7 @@ fn bench_match_count_overhead(c: &mut Criterion) {
         ..Default::default()
     };
     group.bench_function("with", |b| {
-        b.iter(|| skalla_gmdj::eval_gmdj_sub(&base, &t, t.schema(), &op, &opts).unwrap())
+        b.iter(|| skalla_gmdj::eval_gmdj_sub(&base, &ScanSource::table(&t), &op, &opts).unwrap())
     });
     group.finish();
 }
@@ -92,7 +95,7 @@ fn bench_parallelism(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(par), &par, |b, _| {
-            b.iter(|| eval_gmdj_full(&base, &t, t.schema(), &op, &opts).unwrap())
+            b.iter(|| eval_gmdj_full(&base, &ScanSource::table(&t), &op, &opts).unwrap())
         });
     }
     group.finish();

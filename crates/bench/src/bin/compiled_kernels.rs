@@ -41,6 +41,7 @@ use skalla_expr::Expr;
 use skalla_gmdj::{
     eval_gmdj_full, eval_gmdj_sub, AggSpec, EvalOptions, EvalStats, GmdjBlock, GmdjOp,
 };
+use skalla_storage::ScanSource;
 use skalla_tpcr::{CUSTNAME_COL, EXTENDEDPRICE_COL, ORDERDATE_COL};
 use skalla_types::{DataType, Relation, Schema, Value};
 
@@ -99,7 +100,6 @@ fn measure(
     op: &GmdjOp,
     iters: usize,
 ) -> Measurement {
-    let schema = setup.table.schema();
     let compiled_opts = EvalOptions::default();
     let interpreted_opts = EvalOptions {
         compiled: false,
@@ -111,8 +111,8 @@ fn measure(
         let mut out = None;
         for _ in 0..iters.max(1) {
             let t0 = Instant::now();
-            let (rel, stats) =
-                eval_gmdj_sub(base, &setup.table, schema, op, opts).expect("eval_gmdj_sub");
+            let (rel, stats) = eval_gmdj_sub(base, &ScanSource::table(&setup.table), op, opts)
+                .expect("eval_gmdj_sub");
             best = best.min(t0.elapsed().as_secs_f64());
             out = Some((rel, stats));
         }
@@ -256,8 +256,7 @@ fn main() {
     )]);
     let (customer_avgs, _) = eval_gmdj_full(
         &customers,
-        &setup.table,
-        setup.table.schema(),
+        &ScanSource::table(&setup.table),
         &round1,
         &EvalOptions::default(),
     )

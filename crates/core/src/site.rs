@@ -9,12 +9,11 @@
 use std::hash::{Hash, Hasher};
 
 use skalla_gmdj::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_sub, eval_gmdj_sub_segments, BaseSpec,
-    EvalOptions, GmdjExpr, SegScanStats, MATCH_COUNT_COL,
+    eval_gmdj_dual, eval_gmdj_sub, BaseSpec, EvalOptions, EvalStats, GmdjExpr, MATCH_COUNT_COL,
 };
 use skalla_net::Endpoint;
 use skalla_storage::{
-    partition_table_name, Catalog, PartFrag, PartSketch, SegmentFile, SpaceSaving, Table,
+    partition_table_name, Catalog, PartFrag, PartSketch, ScanSource, SegmentFile, SpaceSaving,
 };
 use skalla_types::{Relation, Result, Schema, SkallaError, Value};
 
@@ -46,7 +45,6 @@ pub fn run_site_with_parent(endpoint: Endpoint, catalog: Catalog, parent: skalla
     let mut state = SiteState {
         catalog,
         plan: None,
-        frag_cache: std::cell::RefCell::new(None),
     };
     // One-entry reply cache keyed by `(epoch, round, task)`. The
     // coordinator re-sends a round request when its deadline expires; a
@@ -152,31 +150,10 @@ fn request_task(msg: &Message) -> u32 {
     }
 }
 
-/// A cached materialized detail table: (table name, fragment list) key
-/// plus the assembled rows.
-type FragCacheEntry = (String, Vec<PartFrag>, std::sync::Arc<Table>);
-
-/// The detail relation a scan runs over: an in-memory table, or an
-/// on-disk segment file streamed one segment at a time (optionally
-/// windowed to a global row range for fragment addressing).
-enum LocalDetail {
-    /// Fully materialized rows.
-    Mem(std::sync::Arc<Table>),
-    /// Out-of-core segment store, with an optional `[start, end)` global
-    /// row window.
-    Seg(std::sync::Arc<SegmentFile>, Option<(usize, usize)>),
-}
-
 /// Mutable per-site state.
 struct SiteState {
     catalog: Catalog,
     plan: Option<DistPlan>,
-    /// One-entry cache of the last materialized multi-fragment detail
-    /// table, keyed by (table name, fragment list). A query's rounds
-    /// name the same split layout once per synchronization; without the
-    /// cache each round would pay a fresh columnar copy of the site's
-    /// whole work list.
-    frag_cache: std::cell::RefCell<Option<FragCacheEntry>>,
 }
 
 impl SiteState {
@@ -214,8 +191,6 @@ impl SiteState {
                         .register_segments(partition_table_name(&table, p as usize), file.clone());
                 }
                 self.catalog.register_segments(table, file);
-                // Any materialized fragment union may now be stale.
-                *self.frag_cache.borrow_mut() = None;
                 Ok(vec![Message::SegmentsLoaded { rows }])
             }
             Message::ShipAllRequest { table } => {
@@ -287,7 +262,6 @@ impl SiteState {
                     for n in &names {
                         self.catalog.unregister(n);
                     }
-                    *self.frag_cache.borrow_mut() = None;
                     ScrubEntry {
                         table: name,
                         path: path.display().to_string(),
@@ -311,81 +285,16 @@ impl SiteState {
         Ok(&self.plan()?.expr)
     }
 
-    /// Resolve the detail relation a request aggregates over. `parts: None`
-    /// is the replication-unaware protocol — the site's primary partition,
-    /// registered under the plain table name. `Some(fs)` names replicated
-    /// partition fragments (tables registered by
-    /// `skalla-storage::replicate_catalogs` under their mangled names) and
-    /// unions them; failover uses this to hand a dead site's partitions to
-    /// a surviving replica host, and skew-aware splitting uses row-range
-    /// fragments to spread a hot partition over several hosts. Replicas
-    /// are bit-identical with identical row order, so a `PartFrag` row
-    /// range denotes the same rows on every host.
-    fn detail_table(
-        &self,
-        name: &str,
-        parts: Option<&[PartFrag]>,
-    ) -> Result<std::sync::Arc<Table>> {
-        let Some(fs) = parts else {
-            return self.catalog.get(name);
-        };
-        if fs.is_empty() {
-            return Err(SkallaError::exec("request names an empty fragment list"));
-        }
-        if fs.len() == 1 && fs[0].is_whole() {
-            return self
-                .catalog
-                .get(&partition_table_name(name, fs[0].part as usize));
-        }
-        if let Some((n, f, t)) = self.frag_cache.borrow().as_ref() {
-            if n == name && f == fs {
-                return Ok(t.clone());
-            }
-        }
-        // Columnar assembly: whole partitions and row-range slices are
-        // bulk typed-vector copies, never per-row pushes — fragment
-        // materialization must stay cheap relative to the scan it slices.
-        let mut pieces: Vec<Table> = Vec::with_capacity(fs.len());
-        for f in fs {
-            let t = self
-                .catalog
-                .get(&partition_table_name(name, f.part as usize))?;
-            if f.is_whole() {
-                pieces.push((*t).clone());
-            } else {
-                let (start, end) = f.row_bounds(t.len());
-                pieces.push(t.row_range(start, end)?);
-            }
-        }
-        let table = std::sync::Arc::new(Table::concat(&pieces)?);
-        *self.frag_cache.borrow_mut() = Some((name.to_string(), fs.to_vec(), table.clone()));
-        Ok(table)
-    }
-
-    /// [`SiteState::detail_table`] that keeps segment-backed partitions
-    /// out-of-core. A request resolving to exactly one segment-backed
-    /// partition (the common case — `parts: None`, or a single fragment)
-    /// streams from disk; a multi-fragment union over segment files falls
-    /// back to materialization via [`Catalog::get`], which stays correct
-    /// but pays the decode (failover hands a site at most a few extra
-    /// partitions, so the fallback is rare and bounded).
-    fn detail_source(&self, name: &str, parts: Option<&[PartFrag]>) -> Result<LocalDetail> {
-        match parts {
-            None => {
-                if let Some(f) = self.catalog.get_segments(name) {
-                    return Ok(LocalDetail::Seg(f, None));
-                }
-            }
-            Some([f]) => {
-                let pname = partition_table_name(name, f.part as usize);
-                if let Some(file) = self.catalog.get_segments(&pname) {
-                    let range = (!f.is_whole()).then(|| f.row_bounds(file.total_rows()));
-                    return Ok(LocalDetail::Seg(file, range));
-                }
-            }
-            Some(_) => {}
-        }
-        self.detail_table(name, parts).map(LocalDetail::Mem)
+    /// The detail rows a request aggregates over, resolved by the catalog
+    /// for either storage kind. `parts: None` is the replication-unaware
+    /// protocol — the site's primary partition under the plain table name.
+    /// `Some(fs)` names replicated partition fragments; failover uses them
+    /// to hand a dead site's partitions to a surviving replica host, and
+    /// skew-aware splitting uses row-range fragments to spread a hot
+    /// partition over several hosts.
+    fn source(&self, name: &str, parts: Option<&[PartFrag]>) -> Result<ScanSource<'_>> {
+        let prune = self.plan()?.segment_prune;
+        Ok(self.catalog.scan_source(name, parts)?.with_prune(prune))
     }
 
     /// Per-partition sketches for the partitions a request names. `rows`
@@ -411,53 +320,33 @@ impl SiteState {
         // any single slice).
         let mut sketches: Vec<SpaceSaving> = Vec::new();
         for f in fs {
-            let pname = partition_table_name(name, f.part as usize);
-            // Segment-backed partitions report cardinality from footer
-            // metadata and sketch by streaming — never materialized whole.
-            let seg = self.catalog.get_segments(&pname);
-            let mem = match &seg {
-                Some(_) => None,
-                None => Some(self.catalog.get(&pname)?),
-            };
-            let total = match (&seg, &mem) {
-                (Some(file), _) => file.total_rows(),
-                (None, Some(t)) => t.len(),
-                (None, None) => unreachable!("resolved above"),
-            };
             if out.last().map(|s| s.part) != Some(f.part) {
+                let pname = partition_table_name(name, f.part as usize);
                 out.push(PartSketch {
                     part: f.part,
-                    rows: total as u64,
+                    rows: self.catalog.num_rows(&pname)? as u64,
                     heavy: Vec::new(),
                 });
                 sketches.push(SpaceSaving::new(HEAVY_HITTER_CAP));
             }
             if let Some(cols) = heavy_cols {
-                let (start, end) = if f.is_whole() {
-                    (0, total)
-                } else {
-                    f.row_bounds(total)
-                };
                 let ss = sketches.last_mut().expect("just pushed");
-                match (&seg, &mem) {
-                    (Some(file), _) => offer_segment_rows(file, cols, start, end, ss)?,
-                    (None, Some(t)) => {
-                        // Columnar scan: hash only the group-key columns by
-                        // index — no per-row materialization, and a
-                        // fragment's nonzero start offset costs nothing
-                        // (iterating rows and skipping the prefix would
-                        // charge split fragments for rows they never
-                        // compute on).
-                        let key_cols: Vec<_> = cols
-                            .iter()
-                            .map(|&c| (c < t.schema().len()).then(|| t.column(c)))
-                            .collect();
-                        for i in start..end {
-                            ss.offer(hash_group_cols(&key_cols, i));
-                        }
+                // Hash only the group-key columns, straight off each
+                // window: no row is materialized, and a fragment's start
+                // offset costs nothing.
+                let source = self
+                    .catalog
+                    .scan_source(name, Some(std::slice::from_ref(f)))?;
+                source.for_each_window(|t, start, len| {
+                    let key_cols: Vec<_> = cols
+                        .iter()
+                        .map(|&c| (c < t.schema().len()).then(|| t.column(c)))
+                        .collect();
+                    for i in start..start + len {
+                        ss.offer(hash_group_cols(&key_cols, i));
                     }
-                    (None, None) => unreachable!("resolved above"),
-                }
+                    Ok(())
+                })?;
             }
         }
         for (sk, ss) in out.iter_mut().zip(&sketches) {
@@ -486,12 +375,9 @@ impl SiteState {
 
     fn local_base(&self, expr: &GmdjExpr, parts: Option<&[PartFrag]>) -> Result<Relation> {
         match &expr.base {
-            BaseSpec::DistinctProject { cols } => {
-                match self.detail_source(&expr.detail_name, parts)? {
-                    LocalDetail::Mem(detail) => detail.distinct_project(cols),
-                    LocalDetail::Seg(file, range) => segmented_distinct_project(&file, cols, range),
-                }
-            }
+            BaseSpec::DistinctProject { cols } => self
+                .source(&expr.detail_name, parts)?
+                .distinct_project(cols),
             BaseSpec::Relation(_) => Err(SkallaError::exec(
                 "coordinator asked a site to compute an explicit base relation",
             )),
@@ -516,21 +402,13 @@ impl SiteState {
             .get(op_idx)
             .ok_or_else(|| SkallaError::exec(format!("operator {op_idx} out of range")))?;
         let reduce = plan.rounds[op_idx].site_group_reduction;
-        let source = self.detail_source(plan.expr.detail_for_op(op_idx), parts)?;
+        let source = self.source(plan.expr.detail_for_op(op_idx), parts)?;
         let opts = EvalOptions {
             with_match_count: reduce,
             parallelism: plan.site_parallelism,
             ..Default::default()
         };
-        let (h, stats, seg) = match &source {
-            LocalDetail::Mem(detail) => {
-                let (h, stats) = eval_gmdj_sub(&base, &**detail, detail.schema(), op, &opts)?;
-                (h, stats, SegScanStats::default())
-            }
-            LocalDetail::Seg(file, range) => {
-                eval_gmdj_sub_segments(&base, file, op, &opts, plan.segment_prune, *range)?
-            }
-        };
+        let (h, stats) = eval_gmdj_sub(&base, &source, op, &opts)?;
         let blocks_compiled = stats.blocks_compiled;
         let blocks_interpreted = (stats.blocks_hashed + stats.blocks_nested) - blocks_compiled;
         let h = if reduce { strip_unmatched(h)? } else { h };
@@ -551,9 +429,9 @@ impl SiteState {
                 last,
                 task,
                 sketch: if last { sketch.clone() } else { Vec::new() },
-                segments_scanned: if last { seg.scanned } else { 0 },
-                segments_pruned: if last { seg.pruned } else { 0 },
-                blocks_verified: if last { seg.blocks_verified } else { 0 },
+                segments_scanned: if last { stats.segments_scanned } else { 0 },
+                segments_pruned: if last { stats.segments_pruned } else { 0 },
+                blocks_verified: if last { stats.blocks_verified } else { 0 },
             })
             .collect())
     }
@@ -597,29 +475,20 @@ impl SiteState {
         let mut state_fields = Vec::new();
         let mut blocks_compiled = 0u32;
         let mut blocks_interpreted = 0u32;
-        let mut seg_total = SegScanStats::default();
+        let mut seg_total = EvalStats::default();
 
         for k in start..=end {
             let op = &expr.ops[k];
-            let source = self.detail_source(expr.detail_for_op(k), parts)?;
+            let source = self.source(expr.detail_for_op(k), parts)?;
             let opts = EvalOptions {
                 parallelism: plan.site_parallelism,
                 ..Default::default()
             };
-            let (dual, seg) = match &source {
-                LocalDetail::Mem(detail) => {
-                    state_fields.extend(op.state_fields(detail.schema())?);
-                    let dual = eval_gmdj_dual(&current, &**detail, detail.schema(), op, &opts)?;
-                    (dual, SegScanStats::default())
-                }
-                LocalDetail::Seg(file, range) => {
-                    state_fields.extend(op.state_fields(file.schema())?);
-                    eval_gmdj_dual_segments(&current, file, op, &opts, plan.segment_prune, *range)?
-                }
-            };
-            seg_total.scanned += seg.scanned;
-            seg_total.pruned += seg.pruned;
-            seg_total.blocks_verified += seg.blocks_verified;
+            state_fields.extend(op.state_fields(source.schema())?);
+            let dual = eval_gmdj_dual(&current, &source, op, &opts)?;
+            seg_total.segments_scanned += dual.stats.segments_scanned;
+            seg_total.segments_pruned += dual.stats.segments_pruned;
+            seg_total.blocks_verified += dual.stats.blocks_verified;
             for (i, st) in dual.states.iter().enumerate() {
                 acc_states[i].extend(st.iter().cloned());
                 total_matches[i] += dual.match_counts[i];
@@ -659,8 +528,8 @@ impl SiteState {
                 last,
                 task,
                 sketch: if last { sketch.clone() } else { Vec::new() },
-                segments_scanned: if last { seg_total.scanned } else { 0 },
-                segments_pruned: if last { seg_total.pruned } else { 0 },
+                segments_scanned: if last { seg_total.segments_scanned } else { 0 },
+                segments_pruned: if last { seg_total.segments_pruned } else { 0 },
                 blocks_verified: if last { seg_total.blocks_verified } else { 0 },
             })
             .collect())
@@ -701,79 +570,6 @@ fn hash_group_cols(cols: &[Option<&skalla_storage::Column>], i: usize) -> u64 {
         }
     }
     h.finish()
-}
-
-/// Decode the segments of `file` overlapping the `[start, end)` global row
-/// window one at a time — trimmed to the window — and feed each to `f`.
-/// Segments arrive in global row order, so streaming consumers observe the
-/// same rows in the same order as a scan of the materialized table.
-fn for_each_segment_window(
-    file: &SegmentFile,
-    start: usize,
-    end: usize,
-    mut f: impl FnMut(Table) -> Result<()>,
-) -> Result<()> {
-    for i in 0..file.num_segments() {
-        let s = file.segment_row_start(i);
-        let e = s + file.meta(i).rows;
-        let (lo, hi) = (start.max(s), end.min(e));
-        if lo >= hi {
-            continue;
-        }
-        let mut t = file.read_segment(i)?;
-        if (lo, hi) != (s, e) {
-            t = t.row_range(lo - s, hi - s)?;
-        }
-        f(t)?;
-    }
-    Ok(())
-}
-
-/// Offer the group-key hash of every row in the `[start, end)` window of a
-/// segment file to the heavy-hitter sketch — the out-of-core counterpart of
-/// the columnar in-memory sketch scan, one decoded segment resident at a
-/// time.
-fn offer_segment_rows(
-    file: &SegmentFile,
-    cols: &[usize],
-    start: usize,
-    end: usize,
-    ss: &mut SpaceSaving,
-) -> Result<()> {
-    for_each_segment_window(file, start, end, |t| {
-        let key_cols: Vec<_> = cols
-            .iter()
-            .map(|&c| (c < t.schema().len()).then(|| t.column(c)))
-            .collect();
-        for i in 0..t.len() {
-            ss.offer(hash_group_cols(&key_cols, i));
-        }
-        Ok(())
-    })
-}
-
-/// `Table::distinct_project` over a segment file, one decoded segment
-/// resident at a time. Segments are visited in global row order, so the
-/// first-seen row ordering is bit-for-bit the in-memory scan's.
-fn segmented_distinct_project(
-    file: &SegmentFile,
-    cols: &[usize],
-    range: Option<(usize, usize)>,
-) -> Result<Relation> {
-    let schema = std::sync::Arc::new(file.schema().project(cols)?);
-    let (start, end) = range.unwrap_or((0, file.total_rows()));
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    for_each_segment_window(file, start, end, |t| {
-        for i in 0..t.len() {
-            let key: Vec<Value> = cols.iter().map(|&c| t.column(c).get(i)).collect();
-            if seen.insert(key.clone()) {
-                rows.push(key);
-            }
-        }
-        Ok(())
-    })?;
-    Ok(Relation::from_rows_unchecked(schema, rows))
 }
 
 /// Split a relation into `(chunk, is_last)` pieces of at most `block_rows`
@@ -851,7 +647,6 @@ mod tests {
         let state = SiteState {
             catalog: Catalog::new(),
             plan: None,
-            frag_cache: std::cell::RefCell::new(None),
         };
         assert!(state.plan().is_err());
         let r = state.round(0, Relation::empty(Schema::empty().into_arc()), None, 0);

@@ -16,11 +16,11 @@
 //! reduction is always sound).
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use skalla_gmdj::AggSpec;
+use skalla_gmdj::{AggSpec, EvalStats};
 use skalla_net::{CostModel, Endpoint, FaultPlan, NodeId, SimNetwork};
 use skalla_storage::Catalog;
 use skalla_types::{DataType, Relation, Result, Schema, SkallaError};
@@ -30,7 +30,7 @@ use crate::metrics::ExecMetrics;
 use crate::plan::{DistPlan, RetryPolicy};
 use crate::site::run_site_with_parent;
 use crate::sync::{ShardedSync, SyncOutput, SyncSpec};
-use crate::warehouse::{sync_options_for, DistributedWarehouse};
+use crate::warehouse::{sync_options_for, union_distinct, DistributedWarehouse};
 
 /// A two-level warehouse: root coordinator → mid-tier coordinators → sites.
 pub struct TieredWarehouse {
@@ -282,11 +282,15 @@ impl MidState {
                         .to_wire_framed(self.epoch, self.round),
                     )?;
                 }
-                let mut combined: Option<Relation> = None;
+                // Fragments are staged per child and unioned in ascending
+                // child id, so the cluster's `B₀` row order depends only on
+                // the data, never on which child answered first.
+                let mut staged: BTreeMap<NodeId, Relation> = BTreeMap::new();
                 let mut max_s: f64 = 0.0;
                 let mut sketches = Vec::new();
                 for _ in children {
-                    match self.recv(ep)? {
+                    let (src, msg) = self.recv(ep)?;
+                    match msg {
                         Message::BaseFragment {
                             rel,
                             compute_s,
@@ -295,10 +299,7 @@ impl MidState {
                         } => {
                             max_s = max_s.max(compute_s);
                             sketches.extend(sketch);
-                            match &mut combined {
-                                None => combined = Some(rel),
-                                Some(acc) => acc.union_all(rel)?,
-                            }
+                            staged.insert(src, rel);
                         }
                         other => {
                             return Err(SkallaError::exec(format!(
@@ -307,11 +308,8 @@ impl MidState {
                         }
                     }
                 }
-                let rel = combined
-                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?
-                    .distinct();
                 Ok(vec![Message::BaseFragment {
-                    rel,
+                    rel: union_distinct(staged.into_values())?,
                     compute_s: max_s,
                     task,
                     sketch: sketches,
@@ -348,8 +346,8 @@ impl MidState {
                     last: true,
                     task,
                     sketch: sketches,
-                    segments_scanned: seg.scanned,
-                    segments_pruned: seg.pruned,
+                    segments_scanned: seg.segments_scanned,
+                    segments_pruned: seg.segments_pruned,
                     blocks_verified: seg.blocks_verified,
                 }])
             }
@@ -386,8 +384,8 @@ impl MidState {
                     last: true,
                     task,
                     sketch: sketches,
-                    segments_scanned: seg.scanned,
-                    segments_pruned: seg.pruned,
+                    segments_scanned: seg.segments_scanned,
+                    segments_pruned: seg.segments_pruned,
                     blocks_verified: seg.blocks_verified,
                 }])
             }
@@ -403,7 +401,7 @@ impl MidState {
                 }
                 let mut entries = Vec::new();
                 for _ in children {
-                    match self.recv(ep)? {
+                    match self.recv(ep)?.1 {
                         Message::ScrubReport { entries: e } => entries.extend(e),
                         other => {
                             return Err(SkallaError::exec(format!(
@@ -427,7 +425,7 @@ impl MidState {
                 let mut combined: Option<Relation> = None;
                 let mut total_s = 0.0;
                 for _ in children {
-                    match self.recv(ep)? {
+                    match self.recv(ep)?.1 {
                         Message::ShipAllData { rel, compute_s } => {
                             total_s += compute_s;
                             match &mut combined {
@@ -453,12 +451,12 @@ impl MidState {
         }
     }
 
-    /// Collect one child reply, bounded by the plan's full retry budget
-    /// (the sum of every attempt window). A crashed or silent child turns
-    /// into an error instead of hanging the mid-tier forever; the error
-    /// travels upward as an `Error` reply, where the root's own
+    /// Collect one child reply and its sender, bounded by the plan's full
+    /// retry budget (the sum of every attempt window). A crashed or silent
+    /// child turns into an error instead of hanging the mid-tier forever;
+    /// the error travels upward as an `Error` reply, where the root's own
     /// retry/degradation ladder takes over.
-    fn recv(&self, ep: &Endpoint) -> Result<Message> {
+    fn recv(&self, ep: &Endpoint) -> Result<(NodeId, Message)> {
         let deadline = Instant::now() + self.recv_budget();
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -488,7 +486,7 @@ impl MidState {
                     SkallaError::exec(m)
                 });
             }
-            return Ok(msg);
+            return Ok((env.src, msg));
         }
     }
 
@@ -538,7 +536,7 @@ impl MidState {
         u32,
         u32,
         Vec<skalla_storage::PartSketch>,
-        skalla_gmdj::SegScanStats,
+        EvalStats,
     )> {
         let plan = self.plan.as_ref().expect("checked in segment_specs");
         let key = plan.expr.key.clone();
@@ -552,10 +550,10 @@ impl MidState {
         let mut total_bc = 0u32;
         let mut total_bi = 0u32;
         let mut sketches = Vec::new();
-        let mut seg = skalla_gmdj::SegScanStats::default();
+        let mut seg = EvalStats::default();
         while pending > 0 {
             let (h, compute_s, bc, bi, last, sketch, scanned, pruned, blk_v) =
-                match self.recv(ep)? {
+                match self.recv(ep)?.1 {
                     Message::RoundResult {
                         h,
                         compute_s,
@@ -611,8 +609,8 @@ impl MidState {
                 total_bc += bc;
                 total_bi += bi;
                 sketches.extend(sketch);
-                seg.scanned += scanned;
-                seg.pruned += pruned;
+                seg.segments_scanned += scanned;
+                seg.segments_pruned += pruned;
                 seg.blocks_verified += blk_v;
                 pending -= 1;
             }
@@ -669,6 +667,78 @@ mod tests {
     use super::*;
     use crate::plan::DegradedMode;
 
+    /// `BASE DISTINCT k FROM flow; MD COUNT(*) WHERE b.k = r.k`.
+    fn count_expr() -> GmdjExpr {
+        GmdjExpr::new(
+            BaseSpec::DistinctProject { cols: vec![0] },
+            "flow",
+            vec![GmdjOp::new(vec![GmdjBlock::new(
+                vec![AggSpec::count_star("c")],
+                Expr::base(0).eq(Expr::detail(0)),
+            )])],
+            vec![0],
+        )
+        .unwrap()
+    }
+
+    fn recv_msg(ep: &Endpoint) -> Message {
+        let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
+        Message::from_wire_framed(&env.payload).unwrap().2
+    }
+
+    /// The mid-tier unions its children's base fragments in child-id
+    /// order, so the cluster's `B₀` has one row order whichever child
+    /// answers first.
+    #[test]
+    fn mid_tier_base_union_ignores_reply_order() {
+        let (_net, mut eps) = SimNetwork::full_mesh(4, CostModel::free());
+        let c3 = eps.pop().expect("child endpoint");
+        let c2 = eps.pop().expect("child endpoint");
+        let mid = eps.pop().expect("mid-tier endpoint");
+        let root = eps.pop().expect("root endpoint");
+        let relay = std::thread::spawn(move || run_midtier(mid, vec![2, 3]));
+        let plan = DistPlan::unoptimized(count_expr());
+        root.send(1, Message::Plan(plan).to_wire_framed(1, 1))
+            .unwrap();
+        let schema = Schema::from_pairs([("k", DataType::Int64)])
+            .unwrap()
+            .into_arc();
+        let frag = |ks: &[i64]| {
+            let rows = ks.iter().map(|&k| vec![skalla_types::Value::Int(k)]);
+            Relation::new(schema.clone(), rows.collect()).unwrap()
+        };
+        let mut b0s = Vec::new();
+        for (epoch, order) in [(1u64, [&c2, &c3]), (2, [&c3, &c2])] {
+            let compute = Message::ComputeBase {
+                parts: None,
+                task: 0,
+            };
+            root.send(1, compute.to_wire_framed(epoch, 2)).unwrap();
+            for child in [&c2, &c3] {
+                while !matches!(recv_msg(child), Message::ComputeBase { .. }) {}
+            }
+            for child in order {
+                let keys: &[i64] = if child.id() == 2 { &[1, 2] } else { &[3, 2] };
+                let reply = Message::BaseFragment {
+                    rel: frag(keys),
+                    compute_s: 0.0,
+                    task: 0,
+                    sketch: Vec::new(),
+                };
+                child.send(1, reply.to_wire_framed(epoch, 2)).unwrap();
+            }
+            match recv_msg(&root) {
+                Message::BaseFragment { rel, .. } => b0s.push(rel),
+                other => panic!("expected BaseFragment, got {other:?}"),
+            }
+        }
+        assert_eq!(b0s[0].rows(), frag(&[1, 2, 3]).rows());
+        assert_eq!(b0s[1].rows(), b0s[0].rows());
+        root.send_reliable(1, Message::Shutdown.to_wire_framed(2, 0))
+            .unwrap();
+        relay.join().unwrap();
+    }
+
     /// A root `Shutdown` that arrives while the mid-tier waits on a silent
     /// child must end the relay loop and reach the child, not be dropped
     /// as a straggler of the collection (which left the relay loop, and
@@ -679,18 +749,8 @@ mod tests {
         let child = eps.pop().expect("child endpoint");
         let mid = eps.pop().expect("mid-tier endpoint");
         let root = eps.pop().expect("root endpoint");
-        let expr = GmdjExpr::new(
-            BaseSpec::DistinctProject { cols: vec![0] },
-            "flow",
-            vec![GmdjOp::new(vec![GmdjBlock::new(
-                vec![AggSpec::count_star("c")],
-                Expr::base(0).eq(Expr::detail(0)),
-            )])],
-            vec![0],
-        )
-        .unwrap();
         // A recv budget far beyond the test's own bound.
-        let plan = DistPlan::unoptimized(expr).with_retry_policy(RetryPolicy {
+        let plan = DistPlan::unoptimized(count_expr()).with_retry_policy(RetryPolicy {
             deadline: Duration::from_secs(60),
             max_retries: 0,
             backoff: 1.0,
@@ -708,12 +768,8 @@ mod tests {
             task: 0,
         };
         root.send(1, compute.to_wire_framed(1, 2)).unwrap();
-        let relayed = |ep: &Endpoint| {
-            let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
-            Message::from_wire_framed(&env.payload).unwrap().2
-        };
-        assert!(matches!(relayed(&child), Message::Plan(_)));
-        assert!(matches!(relayed(&child), Message::ComputeBase { .. }));
+        assert!(matches!(recv_msg(&child), Message::Plan(_)));
+        assert!(matches!(recv_msg(&child), Message::ComputeBase { .. }));
 
         // The child stays silent; the root shuts the tree down.
         root.send_reliable(1, Message::Shutdown.to_wire_framed(1, 0))
@@ -722,6 +778,6 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("mid-tier relay loop exits on Shutdown");
         relay.join().unwrap();
-        assert!(matches!(relayed(&child), Message::Shutdown));
+        assert!(matches!(recv_msg(&child), Message::Shutdown));
     }
 }

@@ -35,6 +35,20 @@ use crate::plan::{BaseRound, DegradedMode, DistPlan, RetryPolicy, Segment};
 use crate::site::run_site;
 use crate::sync::{ShardedSync, SyncOptions, SyncOutput, SyncSpec};
 
+/// `B₀`: the distinct union of base fragments, first-seen in the order
+/// given. Every tier stages fragments by source and passes them in
+/// ascending source id, so the row order never follows reply arrival.
+pub(crate) fn union_distinct(frags: impl IntoIterator<Item = Relation>) -> Result<Relation> {
+    let mut frags = frags.into_iter();
+    let mut b0 = frags
+        .next()
+        .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
+    for rel in frags {
+        b0.union_all(rel)?;
+    }
+    Ok(b0.distinct())
+}
+
 /// The sync pipeline knobs a plan implies: `coord_parallelism` workers
 /// with the default shard fan-out unless the plan pins a shard count.
 /// Every tier (root coordinator and mid-tiers) synchronizes with these.
@@ -1786,14 +1800,7 @@ impl<'a> QueryRun<'a> {
             self.absorb_sketches(&table, &sketches);
         }
         let t = Instant::now();
-        let mut frags = staged.into_values().flatten();
-        let mut b0 = frags
-            .next()
-            .ok_or_else(|| SkallaError::exec("no base fragments received"))?;
-        for rel in frags {
-            b0.union_all(rel)?;
-        }
-        let b0 = b0.distinct();
+        let b0 = union_distinct(staged.into_values().flatten())?;
         coord_s += t.elapsed().as_secs_f64();
         let groups = b0.len();
         let mut rm = wh.round_metrics_from(

@@ -13,7 +13,7 @@ use crate::eval::{eval_gmdj_full, EvalOptions};
 use crate::op::{BaseSpec, GmdjExpr};
 
 /// Evaluate `expr` against the tables in `catalog` (each detail name binds
-/// to the full relation).
+/// to the full relation, in memory or streamed from its segment file).
 pub fn eval_expr_centralized(expr: &GmdjExpr, catalog: &Catalog) -> Result<Relation> {
     eval_expr_centralized_opts(expr, catalog, &EvalOptions::default())
 }
@@ -24,16 +24,16 @@ pub fn eval_expr_centralized_opts(
     catalog: &Catalog,
     opts: &EvalOptions,
 ) -> Result<Relation> {
-    let default_detail = catalog.get(&expr.detail_name)?;
-
     let mut current: Relation = match &expr.base {
-        BaseSpec::DistinctProject { cols } => default_detail.distinct_project(cols)?,
+        BaseSpec::DistinctProject { cols } => catalog
+            .scan_source(&expr.detail_name, None)?
+            .distinct_project(cols)?,
         BaseSpec::Relation(r) => r.clone(),
     };
 
     for (k, op) in expr.ops.iter().enumerate() {
-        let detail = catalog.get(expr.detail_for_op(k))?;
-        let (next, _) = eval_gmdj_full(&current, &*detail, detail.schema(), op, opts)?;
+        let detail = catalog.scan_source(expr.detail_for_op(k), None)?;
+        let (next, _) = eval_gmdj_full(&current, &detail, op, opts)?;
         current = next;
     }
 

@@ -549,7 +549,7 @@ pub(crate) fn run_block(
         accs.push(acc);
     }
     // Resume from whatever the caller already accumulated (identity on the
-    // first chunk): out-of-core scans feed a segment at a time through the
+    // first window): a scan feeds its windows one at a time through the
     // same running state, which must continue the single-pass fold exactly.
     for (g, state) in states.iter().enumerate() {
         for (acc, &o) in accs.iter_mut().zip(&offsets) {

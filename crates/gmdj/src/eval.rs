@@ -19,12 +19,18 @@
 //! * [`eval_gmdj_full`] produces finalized output columns (used by the
 //!   centralized reference evaluator and by local-only rounds under
 //!   synchronization reduction).
+//!
+//! Every entry point scans one [`ScanSource`]: in-memory tables and
+//! segment files alike arrive as zero-copy row windows in global row
+//! order. Zone-map pruning is decided from the segment footers before the
+//! scan, and the scan is cut into the same worker ranges whatever the
+//! storage kind, so answers do not depend on where the rows live.
 
 use std::sync::Arc;
 
 use skalla_expr::{analysis, eval_detail, eval_predicate, DetailBounds, Expr};
-use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap, SegmentFile};
-use skalla_storage::{ColumnStats, HashIndex};
+use skalla_storage::segment::{zone_may_contain_str, zone_may_overlap};
+use skalla_storage::{ColumnStats, HashIndex, ScanSource, Table};
 use skalla_types::{DataType, Field, Relation, Result, Row, Schema, Value};
 
 use crate::compiled::{compile_block, run_block, CompiledBlock};
@@ -58,10 +64,10 @@ pub struct EvalOptions {
     /// (Theorem 1 applied *within* a site — state merging is associative).
     /// `0` or `1` evaluates serially.
     pub parallelism: usize,
-    /// Use compiled batch kernels (`skalla_expr::compile`) when the detail
-    /// source is columnar and the block's condition and aggregate arguments
-    /// fall inside the compiled subset; blocks outside it fall back to the
-    /// row-at-a-time interpreter automatically. On by default.
+    /// Use compiled batch kernels (`skalla_expr::compile`) when the block's
+    /// condition and aggregate arguments fall inside the compiled subset;
+    /// blocks outside it fall back to the row-at-a-time interpreter
+    /// automatically. On by default.
     pub compiled: bool,
 }
 
@@ -79,9 +85,9 @@ impl Default for EvalOptions {
 /// Below this many detail rows the thread fan-out costs more than it saves.
 const PARALLEL_MIN_ROWS: usize = 4096;
 
-/// Counters describing one local evaluation. The `blocks_*` counters
-/// count each operator block once per scan, however many worker ranges or
-/// segment pieces the scan was cut into.
+/// Counters describing one local evaluation. The `blocks_*` and
+/// `segments_*` counters count each operator block and each segment once
+/// per scan, however many worker ranges or windows the scan was cut into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Detail rows scanned (per block).
@@ -96,6 +102,13 @@ pub struct EvalStats {
     /// hashed/nested counts, which record the join strategy regardless of
     /// execution mode).
     pub blocks_compiled: u32,
+    /// Segments decoded and evaluated.
+    pub segments_scanned: u64,
+    /// Segments skipped because their zone maps refuted every block's θ.
+    pub segments_pruned: u64,
+    /// Column chunks whose CRC32C was verified during decode (one per
+    /// column of each scanned segment).
+    pub blocks_verified: u64,
 }
 
 impl EvalStats {
@@ -107,55 +120,16 @@ impl EvalStats {
     }
 }
 
-/// The detail side of local evaluation: either a columnar table or a
-/// row-oriented relation (the coordinator re-aggregates shipped `H`
-/// fragments, which are relations). `Sync` so evaluation can fan a scan out
-/// across threads.
-pub trait DetailSource: Sync {
-    /// Number of rows.
-    fn num_rows(&self) -> usize;
-    /// Materialize row `i`.
-    fn get_row(&self, i: usize) -> Row;
-    /// The columnar window `(table, start, len)` backing this source, if
-    /// any — the compiled batch path needs zero-copy column slices. `None`
-    /// (the default) keeps evaluation on the row-at-a-time interpreter.
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        None
-    }
-}
-
-impl DetailSource for skalla_storage::Table {
-    fn num_rows(&self) -> usize {
-        self.len()
-    }
-    fn get_row(&self, i: usize) -> Row {
-        self.row(i)
-    }
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        Some((self, 0, self.len()))
-    }
-}
-
-impl DetailSource for Relation {
-    fn num_rows(&self) -> usize {
-        self.len()
-    }
-    fn get_row(&self, i: usize) -> Row {
-        self.row(i).clone()
-    }
-}
-
 /// Evaluate `op` over (`base`, `detail`) producing **sub-aggregate state**
 /// columns: schema = base fields ++ state fields (++ `__rng_count`).
-pub fn eval_gmdj_sub<D: DetailSource>(
+pub fn eval_gmdj_sub(
     base: &Relation,
-    detail: &D,
-    detail_schema: &Schema,
+    detail: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<(Relation, EvalStats)> {
     let (states, match_counts, stats) = accumulate(base, detail, op, opts)?;
-    let rel = shape_sub(base, detail_schema, op, opts, &states, &match_counts)?;
+    let rel = shape_sub(base, detail.schema(), op, opts, &states, &match_counts)?;
     Ok((rel, stats))
 }
 
@@ -216,15 +190,14 @@ fn shape_full(
 
 /// Evaluate `op` over (`base`, `detail`) producing **finalized** output
 /// columns: schema = base fields ++ output fields.
-pub fn eval_gmdj_full<D: DetailSource>(
+pub fn eval_gmdj_full(
     base: &Relation,
-    detail: &D,
-    detail_schema: &Schema,
+    detail: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<(Relation, EvalStats)> {
     let (states, _, stats) = accumulate(base, detail, op, opts)?;
-    let rel = shape_full(base, detail_schema, op, &states)?;
+    let rel = shape_full(base, detail.schema(), op, &states)?;
     Ok((rel, stats))
 }
 
@@ -247,15 +220,14 @@ pub struct DualResult {
 /// sub-aggregate state. Used by sites executing a synchronization-reduced
 /// local run (paper §4.3): the finalized view feeds the next operator
 /// locally while the state columns are what ultimately gets shipped.
-pub fn eval_gmdj_dual<D: DetailSource>(
+pub fn eval_gmdj_dual(
     base: &Relation,
-    detail: &D,
-    detail_schema: &Schema,
+    detail: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<DualResult> {
     let (states, match_counts, stats) = accumulate(base, detail, op, opts)?;
-    let full = shape_full(base, detail_schema, op, &states)?;
+    let full = shape_full(base, detail.schema(), op, &states)?;
     Ok(DualResult {
         full,
         states,
@@ -268,100 +240,84 @@ pub fn eval_gmdj_dual<D: DetailSource>(
 /// the raw product of one accumulation pass.
 type Accumulated = (Vec<Vec<Value>>, Vec<u64>, EvalStats);
 
-/// A window over a detail source, used to hand each worker thread a
-/// contiguous slice of the scan.
-struct RangeView<'a, D: DetailSource> {
-    inner: &'a D,
-    start: usize,
-    len: usize,
-}
-
-impl<D: DetailSource> DetailSource for RangeView<'_, D> {
-    fn num_rows(&self) -> usize {
-        self.len
-    }
-    fn get_row(&self, i: usize) -> Row {
-        debug_assert!(i < self.len);
-        self.inner.get_row(self.start + i)
-    }
-    fn table_slice(&self) -> Option<(&skalla_storage::Table, usize, usize)> {
-        self.inner
-            .table_slice()
-            .map(|(t, s, _)| (t, s + self.start, self.len))
-    }
-}
-
 /// Core accumulation: per-base-row aggregate state plus match counts.
-/// Dispatches to the parallel scan when the options ask for it and the
-/// detail relation is large enough to amortize the fan-out.
-fn accumulate<D: DetailSource>(
+///
+/// The blocks are planned and the segments pruned once, then the source's
+/// rows are cut into worker ranges (one range when the options are serial
+/// or the source is too small to amortize the fan-out). Each range threads
+/// one running state through its windows in row order via
+/// [`accumulate_serial_into`] — on its own thread when there are several —
+/// and the ranges merge in worker order. Non-associative float rounding
+/// therefore depends only on the range cut, never on the storage kind;
+/// pruned segments contribute identity, which is rounding-neutral.
+fn accumulate(
     base: &Relation,
-    detail: &D,
+    detail: &ScanSource<'_>,
     op: &GmdjOp,
     opts: &EvalOptions,
 ) -> Result<Accumulated> {
-    let columnar = detail.table_slice().map(|(t, _, _)| t.schema().as_ref());
-    let (plans, stats) = plan_blocks(base, op, columnar, opts);
-    let par = opts.parallelism.max(1);
-    let n = detail.num_rows();
-    if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
-        let mut acc = fresh_acc(base, op);
-        acc.2 = stats;
-        accumulate_serial_into(base, detail, op, &plans, &mut acc)?;
-        return Ok(acc);
-    }
-
-    // Fan the scan out: each worker accumulates private state over a
-    // contiguous row range (sharing the scan's block plans and base
-    // indexes), then the partial states merge associatively.
-    let chunk = n.div_ceil(par);
-    let workers: Vec<RangeView<'_, D>> = (0..par)
-        .map(|w| {
-            let start = w * chunk;
-            RangeView {
-                inner: detail,
-                start: start.min(n),
-                len: chunk.min(n.saturating_sub(start.min(n))),
-            }
-        })
-        .filter(|v| v.len > 0)
+    let (plans, mut stats) = plan_blocks(base, op, detail.schema(), opts);
+    let bounds: Vec<DetailBounds> = op
+        .blocks
+        .iter()
+        .map(|b| analysis::detail_bounds(&b.theta))
         .collect();
+    // A segment is skipped only when every block is refuted.
+    let scan =
+        detail.plan(|zones| !bounds.is_empty() && bounds.iter().all(|b| zones_refute(zones, b)));
+    stats.segments_scanned = scan.segments_scanned;
+    stats.segments_pruned = scan.segments_pruned;
+    stats.blocks_verified = scan.blocks_verified;
 
-    let plans = &plans;
-    let partials: Vec<Result<Accumulated>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter()
-            .map(|view| {
-                scope.spawn(move || {
-                    let mut acc = fresh_acc(base, op);
-                    accumulate_serial_into(base, view, op, plans, &mut acc).map(|()| acc)
+    let n = detail.num_rows();
+    let par = opts.parallelism.max(1);
+    let chunk = if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
+        n.max(1)
+    } else {
+        n.div_ceil(par)
+    };
+    let ranges: Vec<(usize, usize)> = (0..n.div_ceil(chunk).max(1))
+        .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
+        .collect();
+    let run = |&(lo, hi): &(usize, usize)| -> Result<Accumulated> {
+        let mut acc = fresh_acc(base, op);
+        scan.for_each_window(lo..hi, |table, start, len| {
+            accumulate_serial_into(base, table, start, len, op, &plans, &mut acc)
+        })?;
+        Ok(acc)
+    };
+    let partials: Vec<Result<Accumulated>> = if ranges.len() == 1 {
+        vec![run(&ranges[0])]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .map(|range| scope.spawn(move || run(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err(skalla_types::SkallaError::exec("worker panicked")))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(skalla_types::SkallaError::exec("worker panicked")))
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
 
     let mut iter = partials.into_iter();
-    let (mut states, mut match_counts, first) = iter.next().expect("at least one worker")?;
-    let mut total = stats;
-    total.add_rows(&first);
+    let (mut states, mut match_counts, first) = iter.next().expect("at least one range")?;
+    stats.add_rows(&first);
     for partial in iter {
         let (pstates, pcounts, pstats) = partial?;
         merge_partial_states(op, &mut states, &mut match_counts, pstates, &pcounts)?;
-        total.add_rows(&pstats);
+        stats.add_rows(&pstats);
     }
-    Ok((states, match_counts, total))
+    Ok((states, match_counts, stats))
 }
 
 /// Merge a partial accumulation into `states`/`match_counts` (Theorem 1:
 /// sub-aggregate state merging is associative, so partials from worker
-/// threads or disk segments combine in any grouping).
+/// ranges combine in any grouping).
 fn merge_partial_states(
     op: &GmdjOp,
     states: &mut [Vec<Value>],
@@ -415,14 +371,13 @@ pub(crate) struct HashJoin {
 }
 
 /// How one block runs, decided once per scan so that worker ranges and
-/// segment pieces share the base index and the compiled kernels.
+/// windows share the base index and the compiled kernels.
 struct BlockPlan {
     /// State-column offset of the block's first aggregate.
     offset: usize,
     /// `Some` for the hash strategy, `None` for the nested loop.
     join: Option<HashJoin>,
-    /// The block lowered onto batch kernels, when the scan's detail
-    /// source is columnar and the block compiles.
+    /// The block lowered onto batch kernels, when it compiles.
     compiled: Option<CompiledBlock>,
 }
 
@@ -430,7 +385,7 @@ struct BlockPlan {
 fn plan_blocks(
     base: &Relation,
     op: &GmdjOp,
-    columnar: Option<&Schema>,
+    detail_schema: &Schema,
     opts: &EvalOptions,
 ) -> (Vec<BlockPlan>, EvalStats) {
     let mut stats = EvalStats::default();
@@ -449,9 +404,10 @@ fn plan_blocks(
                     residual: analysis::residual_without_pairs(&block.theta, &pairs),
                 }
             });
-            let compiled = columnar
-                .filter(|_| opts.compiled)
-                .and_then(|d| compile_block(block, base.schema(), d, join.as_ref()));
+            let compiled = opts
+                .compiled
+                .then(|| compile_block(block, base.schema(), detail_schema, join.as_ref()))
+                .flatten();
             if use_hash {
                 stats.blocks_hashed += 1;
             } else {
@@ -472,33 +428,30 @@ fn plan_blocks(
     (plans, stats)
 }
 
-/// Single-threaded accumulation continuing from existing state. Feeding a
-/// detail scan through this in consecutive chunks is *bit-identical* to one
-/// pass over the concatenation — every row updates the same running state
-/// in the same order, so even non-associative float rounding agrees. The
-/// out-of-core segment scan depends on this. Adds to the row counters only;
-/// the block counters come from [`plan_blocks`].
-fn accumulate_serial_into<D: DetailSource>(
+/// Single-threaded accumulation of rows `start..start + n_detail` of
+/// `table`, continuing from existing state. Feeding a scan through this in
+/// consecutive windows is *bit-identical* to one pass over their
+/// concatenation — every row updates the same running state in the same
+/// order, so even non-associative float rounding agrees. Adds to the row
+/// counters only; the block counters come from [`plan_blocks`].
+fn accumulate_serial_into(
     base: &Relation,
-    detail: &D,
+    table: &Table,
+    start: usize,
+    n_detail: usize,
     op: &GmdjOp,
     plans: &[BlockPlan],
     acc: &mut Accumulated,
 ) -> Result<()> {
     let (states, match_counts, stats) = acc;
-    let n_detail = detail.num_rows();
 
     for (block, plan) in op.blocks.iter().zip(plans) {
         stats.detail_rows_scanned += n_detail as u64;
         let block_off = plan.offset;
 
-        // Compiled batch path: the block lowered onto typed kernels when
-        // the scan was planned, so the source is columnar.
+        // Compiled batch path: the block was lowered onto typed kernels
+        // when the scan was planned.
         if let Some(cb) = &plan.compiled {
-            let (table, t_start, t_len) = detail
-                .table_slice()
-                .expect("compiled plans are made for columnar sources");
-            debug_assert_eq!(t_len, n_detail);
             run_block(
                 cb,
                 block,
@@ -506,8 +459,8 @@ fn accumulate_serial_into<D: DetailSource>(
                 plan.join.as_ref(),
                 base,
                 table,
-                t_start,
-                t_len,
+                start,
+                n_detail,
                 states,
                 match_counts,
                 stats,
@@ -525,7 +478,7 @@ fn accumulate_serial_into<D: DetailSource>(
                 Some(e) => {
                     let mut vals = Vec::with_capacity(n_detail);
                     for i in 0..n_detail {
-                        vals.push(eval_detail(e, &detail.get_row(i))?);
+                        vals.push(eval_detail(e, &table.row(start + i))?);
                     }
                     arg_vals.push(Some(vals));
                 }
@@ -536,7 +489,7 @@ fn accumulate_serial_into<D: DetailSource>(
             let skip_residual = join.residual == Expr::lit(true);
             let mut key: Row = Vec::with_capacity(join.detail_key_cols.len());
             for i in 0..n_detail {
-                let r = detail.get_row(i);
+                let r = table.row(start + i);
                 key.clear();
                 // NULL keys never join (SQL equality semantics).
                 if join.detail_key_cols.iter().any(|&c| r[c].is_null()) {
@@ -555,7 +508,7 @@ fn accumulate_serial_into<D: DetailSource>(
             }
         } else {
             for i in 0..n_detail {
-                let r = detail.get_row(i);
+                let r = table.row(start + i);
                 for (bi, b) in base.rows().iter().enumerate() {
                     if eval_predicate(&block.theta, b, &r)? {
                         stats.matches += 1;
@@ -570,21 +523,6 @@ fn accumulate_serial_into<D: DetailSource>(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Out-of-core segmented scans with zone-map pruning.
-
-/// Segment-level counters from one out-of-core scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegScanStats {
-    /// Segments decoded and evaluated.
-    pub scanned: u64,
-    /// Segments skipped because their zone maps refuted every block's θ.
-    pub pruned: u64,
-    /// Column chunks whose CRC32C was verified during decode (one per
-    /// column of each scanned segment).
-    pub blocks_verified: u64,
-}
-
 /// `true` when the zone maps prove no row of the segment can satisfy the
 /// bounds (every bound is a *necessary* condition on matching rows, so one
 /// refuted bound refutes the whole conjunction).
@@ -597,133 +535,6 @@ fn zones_refute(zones: &[ColumnStats], bounds: &DetailBounds) -> bool {
             .str_eq
             .iter()
             .any(|(c, s)| zones.get(*c).is_some_and(|z| !zone_may_contain_str(z, s)))
-}
-
-/// Accumulate `op` over the segments of `file`, decoding one segment at a
-/// time (peak memory: one segment + the aggregate states) and skipping any
-/// segment whose zone maps refute every block's condition. `range` limits
-/// the scan to a global row window (fragment addressing for skew splits and
-/// failover); segments outside it are not visited and partially-covered
-/// segments are trimmed after decode.
-///
-/// Bit-for-bit with the in-memory scan: the window is cut into the same
-/// worker ranges [`accumulate`] would use (one range when the options are
-/// serial), each range's rows feed one *running* state via
-/// [`accumulate_serial_into`] in row order, and ranges merge in the same
-/// order the parallel dispatcher merges its workers. Non-associative float
-/// rounding therefore agrees exactly; pruned segments contribute identity,
-/// which is rounding-neutral.
-fn accumulate_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Accumulated, SegScanStats)> {
-    let bounds: Vec<DetailBounds> = op
-        .blocks
-        .iter()
-        .map(|b| analysis::detail_bounds(&b.theta))
-        .collect();
-    let can_prune = prune && !bounds.is_empty();
-    let (lo, hi) = range.unwrap_or((0, file.total_rows()));
-    let n = hi.saturating_sub(lo);
-    // Decoded segment pieces are tables: the scan is columnar.
-    let (plans, stats) = plan_blocks(base, op, Some(file.schema()), opts);
-
-    // The same range boundaries accumulate() hands its workers.
-    let par = opts.parallelism.max(1);
-    let chunk = if par == 1 || n < PARALLEL_MIN_ROWS.max(2 * par) {
-        n.max(1)
-    } else {
-        n.div_ceil(par)
-    };
-    let mut accs: Vec<Option<Accumulated>> = std::iter::repeat_with(|| None)
-        .take(n.div_ceil(chunk.max(1)).max(1))
-        .collect();
-    let mut seg = SegScanStats::default();
-
-    for i in 0..file.num_segments() {
-        let meta = file.meta(i);
-        let start = file.segment_row_start(i);
-        let end = start + meta.rows;
-        let (wlo, whi) = (lo.max(start), hi.min(end));
-        if wlo >= whi {
-            continue; // outside the fragment window: not part of this scan
-        }
-        if can_prune && bounds.iter().all(|b| zones_refute(&meta.zones, b)) {
-            seg.pruned += 1;
-            continue;
-        }
-        seg.scanned += 1;
-        let table = file.read_segment(i)?;
-        // Every decoded column chunk passed its CRC check to get here.
-        seg.blocks_verified += file.schema().len() as u64;
-        // Feed each worker-range this segment intersects, in row order.
-        let mut pos = wlo;
-        while pos < whi {
-            let ci = (pos - lo) / chunk;
-            let piece_end = whi.min(lo + (ci + 1) * chunk);
-            let piece = table.row_range(pos - start, piece_end - start)?;
-            let acc = accs[ci].get_or_insert_with(|| fresh_acc(base, op));
-            accumulate_serial_into(base, &piece, op, &plans, acc)?;
-            pos = piece_end;
-        }
-    }
-
-    // Merge the ranges in worker order, exactly as accumulate() does. All
-    // segments pruned (or none in range): identity states, zero matches.
-    let mut iter = accs.into_iter().flatten();
-    let (mut states, mut match_counts, first) = iter.next().unwrap_or_else(|| fresh_acc(base, op));
-    let mut total = stats;
-    total.add_rows(&first);
-    for (pstates, pcounts, pstats) in iter {
-        merge_partial_states(op, &mut states, &mut match_counts, pstates, &pcounts)?;
-        total.add_rows(&pstats);
-    }
-    Ok(((states, match_counts, total), seg))
-}
-
-/// Segment-backed [`eval_gmdj_sub`]: sub-aggregate state columns computed
-/// out-of-core, with zone-map pruning when `prune` is set. Pruned segments
-/// contribute no matches, so `__rng_count` semantics are unchanged.
-pub fn eval_gmdj_sub_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(Relation, EvalStats, SegScanStats)> {
-    let ((states, match_counts, stats), seg) =
-        accumulate_segments(base, file, op, opts, prune, range)?;
-    let rel = shape_sub(base, file.schema(), op, opts, &states, &match_counts)?;
-    Ok((rel, stats, seg))
-}
-
-/// Segment-backed [`eval_gmdj_dual`]: both views of one out-of-core pass,
-/// for synchronization-reduced local runs over disk-resident partitions.
-pub fn eval_gmdj_dual_segments(
-    base: &Relation,
-    file: &SegmentFile,
-    op: &GmdjOp,
-    opts: &EvalOptions,
-    prune: bool,
-    range: Option<(usize, usize)>,
-) -> Result<(DualResult, SegScanStats)> {
-    let ((states, match_counts, stats), seg) =
-        accumulate_segments(base, file, op, opts, prune, range)?;
-    let full = shape_full(base, file.schema(), op, &states)?;
-    Ok((
-        DualResult {
-            full,
-            states,
-            match_counts,
-            stats,
-        },
-        seg,
-    ))
 }
 
 fn accumulate_row(
@@ -751,7 +562,7 @@ mod tests {
     use super::*;
     use crate::agg::AggSpec;
     use crate::op::GmdjBlock;
-    use skalla_storage::Table;
+    use skalla_storage::{SegmentFile, Store};
 
     fn detail_schema() -> Arc<Schema> {
         Schema::from_pairs([
@@ -796,8 +607,7 @@ mod tests {
     fn full_eval_groups_correctly() {
         let (out, stats) = eval_gmdj_full(
             &base(),
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &EvalOptions::default(),
         )
@@ -836,16 +646,14 @@ mod tests {
         };
         let (a, sa) = eval_gmdj_full(
             &base(),
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &EvalOptions::default(),
         )
         .unwrap();
         let (b, sb) = eval_gmdj_full(
             &base(),
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &opts_nl,
         )
@@ -862,7 +670,7 @@ mod tests {
             ..Default::default()
         };
         let (out, _) =
-            eval_gmdj_sub(&base(), &flow(), &detail_schema(), &count_sum_op(), &opts).unwrap();
+            eval_gmdj_sub(&base(), &ScanSource::table(&flow()), &count_sum_op(), &opts).unwrap();
         assert_eq!(
             out.schema().names(),
             vec!["sas", "das", "cnt", "sum", MATCH_COUNT_COL]
@@ -887,8 +695,7 @@ mod tests {
         };
         let (out, _) = eval_gmdj_sub(
             &extra_base,
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &opts,
         )
@@ -909,8 +716,7 @@ mod tests {
         // Base already carries cnt/sum; θ₂: nb >= sum/cnt (Example 1 round 2).
         let (b1, _) = eval_gmdj_full(
             &base(),
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &EvalOptions::default(),
         )
@@ -924,8 +730,7 @@ mod tests {
         )]);
         let (out, _) = eval_gmdj_full(
             &b1,
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &md2,
             &EvalOptions::default(),
         )
@@ -953,8 +758,13 @@ mod tests {
             ),
         ]);
         let b = flow().distinct_project(&[0]).unwrap();
-        let (out, _) =
-            eval_gmdj_full(&b, &flow(), &detail_schema(), &op, &EvalOptions::default()).unwrap();
+        let (out, _) = eval_gmdj_full(
+            &b,
+            &ScanSource::table(&flow()),
+            &op,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         let sorted = out.sorted();
         // sas=1: 3 rows, 2 with nb>90; sas=2: 1 row, 0 with nb>90.
         assert_eq!(
@@ -993,26 +803,11 @@ mod tests {
                 strategy: strat,
                 ..Default::default()
             };
-            let (out, _) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
+            let (out, _) = eval_gmdj_full(&b, &ScanSource::table(&t), &op, &opts).unwrap();
             let sorted = out.sorted();
             assert_eq!(sorted.row(0), &vec![Value::Null, Value::Int(0)]);
             assert_eq!(sorted.row(1), &vec![Value::Int(1), Value::Int(1)]);
         }
-    }
-
-    #[test]
-    fn relation_as_detail_source() {
-        // The coordinator re-aggregates H fragments, which are Relations.
-        let rel = flow().to_relation();
-        let (out, _) = eval_gmdj_full(
-            &base(),
-            &rel,
-            &detail_schema(),
-            &count_sum_op(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 3);
     }
 
     #[test]
@@ -1043,13 +838,14 @@ mod tests {
                 .eq(Expr::detail(0))
                 .and(Expr::base(1).eq(Expr::detail(1))),
         )]);
-        let serial = eval_gmdj_full(&b, &t, &schema, &op, &EvalOptions::default()).unwrap();
+        let serial =
+            eval_gmdj_full(&b, &ScanSource::table(&t), &op, &EvalOptions::default()).unwrap();
         for par in [2usize, 3, 8] {
             let opts = EvalOptions {
                 parallelism: par,
                 ..Default::default()
             };
-            let (out, stats) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
+            let (out, stats) = eval_gmdj_full(&b, &ScanSource::table(&t), &op, &opts).unwrap();
             assert_eq!(out.sorted(), serial.0.sorted(), "parallelism {par}");
             assert_eq!(stats.matches, serial.1.matches);
             assert_eq!(stats.detail_rows_scanned, serial.1.detail_rows_scanned);
@@ -1060,12 +856,12 @@ mod tests {
             with_match_count: true,
             ..Default::default()
         };
-        let (sub_par, _) = eval_gmdj_sub(&b, &t, &schema, &op, &opts).unwrap();
+        let (sub_par, _) = eval_gmdj_sub(&b, &ScanSource::table(&t), &op, &opts).unwrap();
         let opts_serial = EvalOptions {
             with_match_count: true,
             ..Default::default()
         };
-        let (sub_ser, _) = eval_gmdj_sub(&b, &t, &schema, &op, &opts_serial).unwrap();
+        let (sub_ser, _) = eval_gmdj_sub(&b, &ScanSource::table(&t), &op, &opts_serial).unwrap();
         assert_eq!(sub_par.sorted(), sub_ser.sorted());
     }
 
@@ -1079,11 +875,10 @@ mod tests {
             ..Default::default()
         };
         let (out, _) =
-            eval_gmdj_full(&base(), &flow(), &detail_schema(), &count_sum_op(), &opts).unwrap();
+            eval_gmdj_full(&base(), &ScanSource::table(&flow()), &count_sum_op(), &opts).unwrap();
         let (reference, _) = eval_gmdj_full(
             &base(),
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &count_sum_op(),
             &EvalOptions::default(),
         )
@@ -1123,9 +918,9 @@ mod tests {
             ..Default::default()
         };
         let (a, sa) =
-            eval_gmdj_full(&base(), &flow(), &detail_schema(), &op, &compiled_opts).unwrap();
+            eval_gmdj_full(&base(), &ScanSource::table(&flow()), &op, &compiled_opts).unwrap();
         let (b, sb) =
-            eval_gmdj_full(&base(), &flow(), &detail_schema(), &op, &interp_opts).unwrap();
+            eval_gmdj_full(&base(), &ScanSource::table(&flow()), &op, &interp_opts).unwrap();
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa.matches, sb.matches);
         assert_eq!(sa.blocks_hashed, sb.blocks_hashed);
@@ -1158,8 +953,13 @@ mod tests {
             ],
         )
         .unwrap();
-        let (out, stats) =
-            eval_gmdj_full(&b, &flow(), &detail_schema(), &op, &EvalOptions::default()).unwrap();
+        let (out, stats) = eval_gmdj_full(
+            &b,
+            &ScanSource::table(&flow()),
+            &op,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         assert_eq!(stats.blocks_compiled, 1);
         assert_eq!(stats.blocks_nested, 1);
         let sorted = out.sorted();
@@ -1169,8 +969,7 @@ mod tests {
         // Interpreter agrees.
         let (out2, s2) = eval_gmdj_full(
             &b,
-            &flow(),
-            &detail_schema(),
+            &ScanSource::table(&flow()),
             &op,
             &EvalOptions {
                 compiled: false,
@@ -1216,27 +1015,10 @@ mod tests {
                 .and(Expr::detail(2).lt(Expr::base(1))),
         )]);
         let (out, stats) =
-            eval_gmdj_full(&b, &t, &detail_schema(), &op, &EvalOptions::default()).unwrap();
+            eval_gmdj_full(&b, &ScanSource::table(&t), &op, &EvalOptions::default()).unwrap();
         assert_eq!(stats.blocks_compiled, 1);
         assert_eq!(out.row(0)[2], Value::Int(1));
         assert_eq!(out.row(1)[2], Value::Int(1));
-    }
-
-    /// Row-oriented detail sources have no columnar window, so they stay on
-    /// the interpreter even with compilation enabled.
-    #[test]
-    fn relation_detail_never_compiles() {
-        let rel = flow().to_relation();
-        let (_, stats) = eval_gmdj_full(
-            &base(),
-            &rel,
-            &detail_schema(),
-            &count_sum_op(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(stats.blocks_compiled, 0);
-        assert_eq!(stats.blocks_hashed, 1);
     }
 
     /// Parallel fan-out hands each worker a table window; the compiled path
@@ -1256,13 +1038,14 @@ mod tests {
         let t = Table::from_rows(schema.clone(), &rows).unwrap();
         let b = t.distinct_project(&[0, 1]).unwrap();
         let op = count_sum_op();
-        let serial = eval_gmdj_full(&b, &t, &schema, &op, &EvalOptions::default()).unwrap();
+        let serial =
+            eval_gmdj_full(&b, &ScanSource::table(&t), &op, &EvalOptions::default()).unwrap();
         assert_eq!(serial.1.blocks_compiled, 1);
         let opts = EvalOptions {
             parallelism: 4,
             ..Default::default()
         };
-        let (out, stats) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
+        let (out, stats) = eval_gmdj_full(&b, &ScanSource::table(&t), &op, &opts).unwrap();
         assert_eq!(out.sorted(), serial.0.sorted());
         assert!(stats.blocks_compiled >= 1);
     }
@@ -1293,7 +1076,8 @@ mod tests {
             ],
             Expr::base(0).eq(Expr::detail(0)),
         )]);
-        let (out, stats) = eval_gmdj_full(&b, &t, &schema, &op, &EvalOptions::default()).unwrap();
+        let (out, stats) =
+            eval_gmdj_full(&b, &ScanSource::table(&t), &op, &EvalOptions::default()).unwrap();
         assert_eq!(stats.blocks_compiled, 1);
         let sorted = out.sorted();
         // NULL base key matches nothing; group 1 sees rows {5, NULL}.
@@ -1345,17 +1129,18 @@ mod tests {
             with_match_count: true,
             ..Default::default()
         };
-        let (mem, _) = eval_gmdj_sub(&b, &t, &schema, &op, &opts).unwrap();
-        let (seg, _, sc) = eval_gmdj_sub_segments(&b, &file, &op, &opts, true, None).unwrap();
+        let (mem, _) = eval_gmdj_sub(&b, &ScanSource::table(&t), &op, &opts).unwrap();
+        let (seg, sc) = eval_gmdj_sub(&b, &ScanSource::segments(&file), &op, &opts).unwrap();
         assert_eq!(seg.sorted(), mem.sorted());
         // nb < 1000 covers segments 0..2 (rows 0..1024): 2 scanned, 8 pruned.
-        assert_eq!(sc.scanned, 2);
-        assert_eq!(sc.pruned, 8);
+        assert_eq!(sc.segments_scanned, 2);
+        assert_eq!(sc.segments_pruned, 8);
         // Pruning off scans everything and still agrees.
-        let (seg2, _, sc2) = eval_gmdj_sub_segments(&b, &file, &op, &opts, false, None).unwrap();
+        let unpruned = ScanSource::segments(&file).with_prune(false);
+        let (seg2, sc2) = eval_gmdj_sub(&b, &unpruned, &op, &opts).unwrap();
         assert_eq!(seg2.sorted(), mem.sorted());
-        assert_eq!(sc2.scanned, 10);
-        assert_eq!(sc2.pruned, 0);
+        assert_eq!(sc2.segments_scanned, 10);
+        assert_eq!(sc2.segments_pruned, 0);
     }
 
     #[test]
@@ -1380,14 +1165,15 @@ mod tests {
         let opts = EvalOptions::default();
         // A window cutting through segment interiors (300..2050).
         let window = t.row_range(300, 2050).unwrap();
-        let (mem, _) = eval_gmdj_full(&b, &window, &schema, &op, &opts).unwrap();
-        let (dual_seg, sc) =
-            eval_gmdj_dual_segments(&b, &file, &op, &opts, true, Some((300, 2050))).unwrap();
+        let (mem, _) = eval_gmdj_full(&b, &ScanSource::table(&window), &op, &opts).unwrap();
+        let range = ScanSource::new([(Store::Segments(&file), 300..2050)]).unwrap();
+        let dual_seg = eval_gmdj_dual(&b, &range, &op, &opts).unwrap();
+        let sc = dual_seg.stats;
         assert_eq!(dual_seg.full.sorted(), mem.sorted());
         // Rows 300..2050 touch segments 1..=8 of 12.
-        assert_eq!(sc.scanned + sc.pruned, 8);
+        assert_eq!(sc.segments_scanned + sc.segments_pruned, 8);
         // The state view agrees too.
-        let dual_mem = eval_gmdj_dual(&b, &window, &schema, &op, &opts).unwrap();
+        let dual_mem = eval_gmdj_dual(&b, &ScanSource::table(&window), &op, &opts).unwrap();
         assert_eq!(dual_seg.full.sorted(), dual_mem.full.sorted());
         assert_eq!(dual_seg.states, dual_mem.states);
         assert_eq!(dual_seg.match_counts, dual_mem.match_counts);
@@ -1429,15 +1215,15 @@ mod tests {
                 Expr::base(0).eq(Expr::detail(0)).and(theta_extra),
             )]);
             let opts = EvalOptions::default();
-            let (mem, _) = eval_gmdj_full(&b, &t, &schema, &op, &opts).unwrap();
-            let (seg, _) = eval_gmdj_dual_segments(&b, &file, &op, &opts, true, None).unwrap();
+            let (mem, _) = eval_gmdj_full(&b, &ScanSource::table(&t), &op, &opts).unwrap();
+            let seg = eval_gmdj_dual(&b, &ScanSource::segments(&file), &op, &opts).unwrap();
             assert_eq!(seg.full.sorted(), mem.sorted());
         }
     }
 
     /// The block counters count each operator block once per scan: the
     /// serial scan, the parallel in-memory scan and the segment scan (many
-    /// segment pieces, cut into worker ranges, or all pruned) agree.
+    /// segment windows, cut into worker ranges, or all pruned) agree.
     #[test]
     fn block_counters_count_each_block_once_per_scan() {
         let schema = detail_schema();
@@ -1471,10 +1257,10 @@ mod tests {
                 parallelism: par,
                 ..Default::default()
             };
-            let (mem, sm) = eval_gmdj_sub(&b, &t, &schema, &op, &opts).unwrap();
-            let (seg, ss, sc) = eval_gmdj_sub_segments(&b, &file, &op, &opts, true, None).unwrap();
+            let (mem, sm) = eval_gmdj_sub(&b, &ScanSource::table(&t), &op, &opts).unwrap();
+            let (seg, ss) = eval_gmdj_sub(&b, &ScanSource::segments(&file), &op, &opts).unwrap();
             assert_eq!(seg, mem, "parallelism {par}");
-            assert_eq!(sc.scanned, 12);
+            assert_eq!(ss.segments_scanned, 12);
             assert_eq!(blocks(sm), blocks(want), "in-memory, parallelism {par}");
             assert_eq!(blocks(ss), blocks(want), "segments, parallelism {par}");
             assert_eq!(ss.matches, sm.matches);
@@ -1488,9 +1274,9 @@ mod tests {
                 .and(Expr::detail(2).lt(Expr::lit(-1))),
         )]);
         let opts = EvalOptions::default();
-        let (_, ss, sc) = eval_gmdj_sub_segments(&b, &file, &pruned, &opts, true, None).unwrap();
-        let (_, sm) = eval_gmdj_sub(&b, &t, &schema, &pruned, &opts).unwrap();
-        assert_eq!(sc.pruned, 12);
+        let (_, ss) = eval_gmdj_sub(&b, &ScanSource::segments(&file), &pruned, &opts).unwrap();
+        let (_, sm) = eval_gmdj_sub(&b, &ScanSource::table(&t), &pruned, &opts).unwrap();
+        assert_eq!(ss.segments_pruned, 12);
         assert_eq!(blocks(ss), (1, 0, 1));
         assert_eq!(blocks(ss), blocks(sm));
         // The interpreter counts the same blocks, none compiled.
@@ -1498,7 +1284,8 @@ mod tests {
             compiled: false,
             ..Default::default()
         };
-        let (_, si, _) = eval_gmdj_sub_segments(&b, &file, &op, &interp, false, None).unwrap();
+        let unpruned = ScanSource::segments(&file).with_prune(false);
+        let (_, si) = eval_gmdj_sub(&b, &unpruned, &op, &interp).unwrap();
         assert_eq!(blocks(si), (1, 1, 0));
     }
 
@@ -1507,8 +1294,7 @@ mod tests {
         let t = Table::empty(detail_schema());
         let (out, stats) = eval_gmdj_full(
             &base(),
-            &t,
-            &detail_schema(),
+            &ScanSource::table(&t),
             &count_sum_op(),
             &EvalOptions::default(),
         )

@@ -12,10 +12,11 @@
 //! * [`op`] — the [`GmdjBlock`] (one `(lᵢ, θᵢ)` pair), the [`GmdjOp`]
 //!   (one `MD` application), and the chained [`GmdjExpr`]
 //!   (`MDₙ(⋯MD₁(B₀, R, …)⋯)`).
-//! * [`eval`] — local evaluation of one GMDJ over a columnar detail table,
-//!   with a hash strategy for equi-join conditions and a nested-loop
-//!   fallback, in either *sub-aggregate* mode (for distributed rounds) or
-//!   *full* mode (finalized outputs).
+//! * [`eval`] — local evaluation of one GMDJ over a detail
+//!   [`ScanSource`](skalla_storage::ScanSource) (in-memory tables and
+//!   segment files alike), with a hash strategy for equi-join conditions
+//!   and a nested-loop fallback, in either *sub-aggregate* mode (for
+//!   distributed rounds) or *full* mode (finalized outputs).
 //! * [`centralized`] — a single-site reference evaluator for whole GMDJ
 //!   expressions; the distributed executor is tested for equivalence
 //!   against it (Theorem 3).
@@ -40,8 +41,8 @@ pub use agg::{AggFunc, AggSpec};
 pub use centralized::eval_expr_centralized;
 pub use coalesce::{coalesce_chain, try_coalesce};
 pub use eval::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_full, eval_gmdj_sub, eval_gmdj_sub_segments,
-    DualResult, EvalOptions, EvalStats, LocalStrategy, SegScanStats,
+    eval_gmdj_dual, eval_gmdj_full, eval_gmdj_sub, DualResult, EvalOptions, EvalStats,
+    LocalStrategy,
 };
 pub use olap::{
     build_cube_base, build_rollup_base, cube_expr, cube_theta, multi_feature_expr, rollup_expr,

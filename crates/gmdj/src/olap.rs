@@ -23,10 +23,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use skalla_expr::Expr;
+use skalla_storage::Table;
 use skalla_types::{Relation, Result, Row, Schema, SkallaError, Value};
 
 use crate::agg::AggSpec;
-use crate::eval::DetailSource;
 use crate::op::{BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
 
 /// Build the cube base-values relation: for every subset of `dims`, the
@@ -35,11 +35,7 @@ use crate::op::{BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
 ///
 /// The relation has one row per cube cell and schema = the dimension
 /// columns of `detail` (in `dims` order).
-pub fn build_cube_base<D: DetailSource>(
-    detail: &D,
-    detail_schema: &Schema,
-    dims: &[usize],
-) -> Result<Relation> {
+pub fn build_cube_base(detail: &Table, detail_schema: &Schema, dims: &[usize]) -> Result<Relation> {
     let fields: Vec<_> =
         dims.iter()
             .map(|&d| {
@@ -52,8 +48,8 @@ pub fn build_cube_base<D: DetailSource>(
 
     // Distinct full-dimensional combinations first.
     let mut full: BTreeSet<Row> = BTreeSet::new();
-    for i in 0..detail.num_rows() {
-        let row = detail.get_row(i);
+    for i in 0..detail.len() {
+        let row = detail.row(i);
         full.insert(dims.iter().map(|&d| row[d].clone()).collect());
     }
 
@@ -79,8 +75,8 @@ pub fn build_cube_base<D: DetailSource>(
 
 /// Build a rollup base: like [`build_cube_base`] but only the hierarchical
 /// prefixes (`(d₁, …, dₖ, ALL, …, ALL)` for every `k`).
-pub fn build_rollup_base<D: DetailSource>(
-    detail: &D,
+pub fn build_rollup_base(
+    detail: &Table,
     detail_schema: &Schema,
     dims: &[usize],
 ) -> Result<Relation> {
@@ -95,8 +91,8 @@ pub fn build_rollup_base<D: DetailSource>(
     let schema = Arc::new(Schema::new(fields)?);
 
     let mut full: BTreeSet<Row> = BTreeSet::new();
-    for i in 0..detail.num_rows() {
-        let row = detail.get_row(i);
+    for i in 0..detail.len() {
+        let row = detail.row(i);
         full.insert(dims.iter().map(|&d| row[d].clone()).collect());
     }
     let n = dims.len();
@@ -157,8 +153,8 @@ pub fn rollup_expr(
 /// attribute guards the count.
 ///
 /// Returns the expression and the base relation (held at the coordinator).
-pub fn unpivot_expr<D: DetailSource>(
-    detail: &D,
+pub fn unpivot_expr(
+    detail: &Table,
     detail_schema: &Schema,
     detail_name: impl Into<String>,
     attrs: &[usize],
@@ -180,8 +176,8 @@ pub fn unpivot_expr<D: DetailSource>(
     ])?);
 
     let mut rows: BTreeSet<Row> = BTreeSet::new();
-    for i in 0..detail.num_rows() {
-        let row = detail.get_row(i);
+    for i in 0..detail.len() {
+        let row = detail.row(i);
         for &a in attrs {
             rows.insert(vec![
                 Value::str(detail_schema.field(a).name.clone()),

@@ -5,13 +5,15 @@ use std::sync::Arc;
 
 use skalla_types::{Result, Schema, SkallaError};
 
+use crate::partition::{partition_table_name, PartFrag};
+use crate::scan::{ScanSource, Store};
 use crate::segment::SegmentFile;
 use crate::table::Table;
 
 /// A name → table map. Each Skalla site owns one catalog holding its local
-/// partitions of the warehouse's fact relations. A name can additionally be
-/// backed by an on-disk [`SegmentFile`] (out-of-core mode): scans then
-/// stream segments from disk instead of touching an in-memory table.
+/// partitions of the warehouse's fact relations. A name can instead be
+/// backed by an on-disk [`SegmentFile`] (out-of-core mode). Scans resolve
+/// either kind through [`Catalog::scan_source`] and never ask which.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
@@ -39,10 +41,9 @@ impl Catalog {
         self.tables.insert(name, table);
     }
 
-    /// Look up a table by name. A segment-backed name is materialized in
-    /// full — the compatibility fallback for callers that need the whole
-    /// table; scan paths should check [`Catalog::get_segments`] first and
-    /// stream instead.
+    /// Look up a table by name, materializing a segment-backed name in
+    /// full. Only for callers that need every row in memory anyway (the
+    /// ship-all baseline); scans use [`Catalog::scan_source`].
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
         if let Some(t) = self.tables.get(name) {
             return Ok(t.clone());
@@ -53,17 +54,51 @@ impl Catalog {
         Err(SkallaError::not_found(format!("table `{name}`")))
     }
 
+    /// The rows a request scans: `parts: None` is the table registered
+    /// under `name`; `Some(fs)` is the listed partition fragments, in
+    /// order, each resolved under its [`partition_table_name`] alias and
+    /// windowed to its [`PartFrag::row_bounds`]. Replicas are
+    /// bit-identical with identical row order, so a fragment denotes the
+    /// same rows on every host. Nothing is read or copied here.
+    pub fn scan_source(&self, name: &str, parts: Option<&[PartFrag]>) -> Result<ScanSource<'_>> {
+        let Some(fs) = parts else {
+            return Ok(ScanSource::whole(self.store(name)?));
+        };
+        if fs.is_empty() {
+            return Err(SkallaError::exec("request names an empty fragment list"));
+        }
+        let frags = fs
+            .iter()
+            .map(|f| {
+                let store = self.store(&partition_table_name(name, f.part as usize))?;
+                let (lo, hi) = f.row_bounds(store.rows());
+                Ok((store, lo..hi))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        ScanSource::new(frags)
+    }
+
+    /// Row count of a registered name — from footer metadata for
+    /// segment-backed names.
+    pub fn num_rows(&self, name: &str) -> Result<usize> {
+        self.store(name).map(|s| s.rows())
+    }
+
+    fn store(&self, name: &str) -> Result<Store<'_>> {
+        if let Some(t) = self.tables.get(name) {
+            return Ok(Store::Table(t));
+        }
+        if let Some(f) = self.segments.get(name) {
+            return Ok(Store::Segments(f));
+        }
+        Err(SkallaError::not_found(format!("table `{name}`")))
+    }
+
     /// Schema of a registered name — from footer metadata for
     /// segment-backed names, so out-of-core tables are never materialized
     /// just to learn their shape.
     pub fn schema_of(&self, name: &str) -> Result<Arc<Schema>> {
-        if let Some(t) = self.tables.get(name) {
-            return Ok(t.schema().clone());
-        }
-        if let Some(f) = self.segments.get(name) {
-            return Ok(f.schema().clone());
-        }
-        Err(SkallaError::not_found(format!("table `{name}`")))
+        self.store(name).map(|s| s.schema().clone())
     }
 
     /// Back `name` with an on-disk segment file. Any in-memory table under
@@ -75,7 +110,8 @@ impl Catalog {
         self.segments.insert(name, file);
     }
 
-    /// The segment file backing `name`, if it is segment-backed.
+    /// The segment file backing `name`, if it is segment-backed (the scrub
+    /// path verifies and quarantines files by name).
     pub fn get_segments(&self, name: &str) -> Option<Arc<SegmentFile>> {
         self.segments.get(name).cloned()
     }
@@ -148,6 +184,37 @@ mod tests {
         c.register_arc("t", shared.clone());
         assert!(Arc::ptr_eq(&c.get("t").unwrap(), &shared));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn scan_source_resolves_both_storage_kinds() {
+        let schema = Schema::from_pairs([("a", DataType::Int64)])
+            .unwrap()
+            .into_arc();
+        let rows: Vec<Vec<skalla_types::Value>> =
+            (0..10).map(|i| vec![skalla_types::Value::Int(i)]).collect();
+        let t = Table::from_rows(schema, &rows).unwrap();
+        let path = std::env::temp_dir().join(format!("skalla-catalog-{}.seg", std::process::id()));
+        crate::write_segments(&path, &t, 4).unwrap();
+        let mut c = Catalog::new();
+        c.register(partition_table_name("t", 0), t.clone());
+        c.register_segments(
+            partition_table_name("t", 1),
+            Arc::new(SegmentFile::open(&path).unwrap()),
+        );
+        let half = |part| PartFrag {
+            part,
+            frag: 1,
+            of: 2,
+        };
+        let src = c
+            .scan_source("t", Some(&[half(0), PartFrag::whole(1), half(1)]))
+            .unwrap();
+        assert_eq!(src.num_rows(), 5 + 10 + 5);
+        assert_eq!(c.num_rows(&partition_table_name("t", 1)).unwrap(), 10);
+        assert!(c.scan_source("t", Some(&[])).is_err());
+        assert!(c.scan_source("t", None).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   relation across sites, plus extraction of per-partition value
 //!   constraints (the `φᵢ` fed to the group-reduction analysis).
 //! * [`index`] — hash indexes on key columns.
-//! * [`catalog`] — a name → table map per site.
+//! * [`catalog`] — a name → table map per site; resolves a name (and an
+//!   optional fragment list) to one [`ScanSource`].
+//! * [`scan`] — [`ScanSource`]: an ordered list of in-memory or
+//!   segment-file fragments read as zero-copy row windows, with zone-map
+//!   pruning decided once per scan from the segment footers.
 //! * [`sketch`] — per-partition cardinality + space-saving heavy-hitter
 //!   sketches and the hot-partition fragment planner behind skew-aware
 //!   round execution.
@@ -38,6 +42,7 @@ pub mod crc;
 pub mod fault;
 pub mod index;
 pub mod partition;
+pub mod scan;
 pub mod segment;
 pub mod sketch;
 pub mod stats;
@@ -52,6 +57,7 @@ pub use partition::{
     partition_by_hash, partition_by_ranges, partition_by_values, partition_table_name,
     replicate_catalogs, PartFrag, Partitioning, ReplicaMap,
 };
+pub use scan::{ScanPlan, ScanSource, Store};
 pub use segment::{
     write_segments, zone_may_contain_str, zone_may_overlap, SegmentFile, SegmentMeta,
     SegmentWriteSummary, SegmentWriter, DEFAULT_SEGMENT_ROWS,

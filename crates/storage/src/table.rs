@@ -199,19 +199,10 @@ impl Table {
     }
 
     /// The *distinct* projection onto `indices`, as a row-oriented
-    /// [`Relation`] — this is how base-values relations such as
-    /// `π_{SAS,DAS}(Flow)` (paper Example 1) are computed at each site.
+    /// [`Relation`] in first-seen row order (see
+    /// [`ScanSource::distinct_project`](crate::ScanSource::distinct_project)).
     pub fn distinct_project(&self, indices: &[usize]) -> Result<Relation> {
-        let schema = Arc::new(self.schema.project(indices)?);
-        let mut seen = std::collections::HashSet::new();
-        let mut rows = Vec::new();
-        for i in 0..self.len {
-            let key: Row = indices.iter().map(|&c| self.columns[c].get(i)).collect();
-            if seen.insert(key.clone()) {
-                rows.push(key);
-            }
-        }
-        Ok(Relation::from_rows_unchecked(schema, rows))
+        crate::ScanSource::table(self).distinct_project(indices)
     }
 
     /// Convert the whole table to a row-oriented [`Relation`].

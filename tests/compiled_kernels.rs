@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use skalla::expr::{eval, CompiledPred, CompiledScalar, Expr, ScalarLanes};
-use skalla::gmdj::{eval_gmdj_full, eval_gmdj_sub, eval_gmdj_sub_segments, EvalOptions};
+use skalla::gmdj::{eval_gmdj_full, eval_gmdj_sub, EvalOptions};
 use skalla::prelude::*;
-use skalla::storage::{write_segments, SegmentFile};
+use skalla::storage::{write_segments, ScanSource, SegmentFile};
 
 fn detail_schema() -> std::sync::Arc<Schema> {
     Schema::from_pairs([
@@ -380,12 +380,9 @@ proptest! {
             vec![AggSpec::count_star("c"), agg],
             theta,
         )]);
-        let schema = detail_schema();
-        let compiled = eval_gmdj_full(&base, &table, &schema, &op, &EvalOptions::default());
+        let compiled = eval_gmdj_full(&base, &ScanSource::table(&table), &op, &EvalOptions::default());
         let interpreted = eval_gmdj_full(
-            &base,
-            &table,
-            &schema,
+            &base, &ScanSource::table(&table),
             &op,
             &EvalOptions { compiled: false, ..Default::default() },
         );
@@ -433,7 +430,6 @@ proptest! {
             ],
             theta.clone(),
         )]);
-        let schema = detail_schema();
         let interp_opts = EvalOptions {
             compiled: false,
             with_match_count: true,
@@ -443,8 +439,8 @@ proptest! {
             with_match_count: true,
             ..Default::default()
         };
-        let want = eval_gmdj_sub(&base, &table, &schema, &op, &interp_opts);
-        let got = eval_gmdj_sub(&base, &table, &schema, &op, &opts);
+        let want = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &interp_opts);
+        let got = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts);
         match (&got, &want) {
             (Ok((g, _)), Ok((w, _))) => assert_same_bits(g, w, &format!("in memory, θ = {theta}")),
             (Err(_), Err(_)) => {}
@@ -461,16 +457,17 @@ proptest! {
             // Pruning off: a pruned segment never raises the errors its
             // rows would raise, so only the unpruned scan must agree with
             // the in-memory interpreter on failures too.
-            let seg = eval_gmdj_sub_segments(&base, &file, &op, &opts, false, None);
+            let unpruned = ScanSource::segments(&file).with_prune(false);
+            let seg = eval_gmdj_sub(&base, &unpruned, &op, &opts);
             std::fs::remove_file(&path).ok();
             match (&seg, &want) {
-                (Ok((g, _, _)), Ok((w, _))) => {
+                (Ok((g, _)), Ok((w, _))) => {
                     assert_same_bits(g, w, &format!("{seg_rows}-row segments, θ = {theta}"))
                 }
                 (Err(_), Err(_)) => {}
                 (g, w) => panic!(
                     "θ = {theta}, {seg_rows}-row segments: outcomes disagree: {:?} vs {:?}",
-                    g.as_ref().map(|(r, _, _)| r),
+                    g.as_ref().map(|(r, _)| r),
                     w.as_ref().map(|(r, _)| r),
                 ),
             }
@@ -513,21 +510,21 @@ fn hash_residual_float_folds_keep_the_interpreter_order() {
             .and(Expr::detail(1).ne(Expr::lit(5)))
             .and(Expr::detail(1).ge(Expr::base(1))),
     )]);
-    let schema = detail_schema();
     let opts = EvalOptions::default();
     let interp = EvalOptions {
         compiled: false,
         ..Default::default()
     };
-    let (want, _) = eval_gmdj_sub(&base, &table, &schema, &op, &interp).unwrap();
-    let (got, stats) = eval_gmdj_sub(&base, &table, &schema, &op, &opts).unwrap();
+    let (want, _) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &interp).unwrap();
+    let (got, stats) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap();
     assert_eq!(stats.blocks_compiled, 1);
     assert_same_bits(&got, &want, "in memory");
     for seg_rows in [7usize, 1000, 1024] {
         let path = scratch_path("folds");
         write_segments(&path, &table, seg_rows).unwrap();
         let file = SegmentFile::open(&path).unwrap();
-        let (seg, _, _) = eval_gmdj_sub_segments(&base, &file, &op, &opts, false, None).unwrap();
+        let unpruned = ScanSource::segments(&file).with_prune(false);
+        let (seg, _) = eval_gmdj_sub(&base, &unpruned, &op, &opts).unwrap();
         std::fs::remove_file(&path).ok();
         assert_same_bits(&seg, &want, &format!("{seg_rows}-row segments"));
     }

@@ -20,8 +20,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use skalla::core::message::Message;
+use skalla::core::site::run_site;
+use skalla::net::SimNetwork;
 use skalla::prelude::*;
-use skalla::storage::{write_segments, DiskFaultGuard, DiskFaultPlan, SegmentFile};
+use skalla::storage::{
+    partition_table_name, write_segments, DiskFaultGuard, DiskFaultPlan, PartFrag, SegmentFile,
+};
 
 // ------------------------------------------------------------- fixtures
 
@@ -180,10 +185,11 @@ fn corrupted_segments_fail_over_bit_exactly() {
             assert_eq!(m.parts_lost, 0, "case {i}");
             assert!(m.checksum_failures > 0, "case {i}: no corruption detected");
             assert!(m.failovers >= 1, "case {i}: corruption without failover");
-            // Clean single-fragment scans stream from disk and count the
-            // blocks their CRCs passed; multi-fragment unions take the
-            // materializing fallback (CRC-checked too, just uncounted),
-            // so the counter is asserted across the whole matrix.
+            // Every clean scan streams from disk and counts the blocks its
+            // CRCs passed, multi-fragment failover requests included (see
+            // `multi_fragment_requests_stream_from_segments`); a victim's
+            // failed scans report nothing, so the counter is asserted
+            // across the whole matrix.
             total_verified += m.total_blocks_verified();
         }
     }
@@ -201,6 +207,128 @@ fn corruption_failover_is_deterministic() {
     assert_eq!(a.0, b.0);
     assert_eq!(a.0, ground_truth());
     assert_eq!(a.1.checksum_failures, b.1.checksum_failures);
+}
+
+// ------------------------------------------ multi-fragment segment scans
+
+/// Drive one site directly: install `plan`, send each request, and return
+/// the single reply each one gets (row blocking is off, so every reply is
+/// one message).
+fn serve_one_site(catalog: Catalog, plan: DistPlan, requests: Vec<Message>) -> Vec<Message> {
+    let (_net, mut eps) = SimNetwork::full_mesh(2, CostModel::free());
+    let site = eps.pop().unwrap();
+    let coord = eps.pop().unwrap();
+    let worker = std::thread::spawn(move || run_site(site, catalog));
+    coord
+        .send(1, Message::Plan(plan).to_wire_framed(1, 1))
+        .unwrap();
+    let replies = requests
+        .into_iter()
+        .enumerate()
+        .map(|(i, req)| {
+            coord.send(1, req.to_wire_framed(1, i as u32 + 2)).unwrap();
+            let env = coord.recv_timeout(Duration::from_secs(30)).unwrap();
+            Message::from_wire_framed(&env.payload).unwrap().2
+        })
+        .collect();
+    coord
+        .send_reliable(1, Message::Shutdown.to_wire_framed(1, 0))
+        .unwrap();
+    worker.join().unwrap();
+    replies
+}
+
+/// A request naming several partition fragments — a failover work list or
+/// a skew split's row ranges — streams every segment-backed fragment from
+/// disk: each multi-fragment reply counts the segments it decoded and the
+/// blocks whose CRCs it verified, and the answer is bit-for-bit the
+/// in-memory one, and the centralized one.
+#[test]
+fn multi_fragment_requests_stream_from_segments() {
+    let dir = scratch_dir("multifrag");
+    let paths = write_partition_files(&dir);
+    let parts = partitioning();
+    let mut on_disk = Catalog::new();
+    let mut in_memory = Catalog::new();
+    for (p, path) in paths.iter().enumerate() {
+        let file = std::sync::Arc::new(SegmentFile::open(path).unwrap());
+        on_disk.register_segments(partition_table_name("flow", p), file);
+        in_memory.register(partition_table_name("flow", p), parts.parts[p].clone());
+    }
+    // Every row of every partition, cut into out-of-order row ranges.
+    let frag = |part, frag, of| PartFrag { part, frag, of };
+    let frags = vec![
+        frag(2, 1, 3),
+        PartFrag::whole(0),
+        frag(2, 0, 3),
+        frag(1, 0, 2),
+        PartFrag::whole(3),
+        frag(1, 1, 2),
+        frag(2, 2, 3),
+    ];
+    let base = table().distinct_project(&[0]).unwrap();
+    let requests = || {
+        vec![
+            Message::ComputeBase {
+                parts: Some(frags.clone()),
+                task: 0,
+            },
+            Message::Round {
+                op_idx: 0,
+                base: base.clone(),
+                parts: Some(frags.clone()),
+                task: 0,
+            },
+            Message::LocalRun {
+                start: 0,
+                end: 1,
+                base: None,
+                parts: Some(frags.clone()),
+                task: 0,
+            },
+        ]
+    };
+    let plan = DistPlan::unoptimized(query());
+    let disk = serve_one_site(on_disk, plan.clone(), requests());
+    let mem = serve_one_site(in_memory, plan, requests());
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (d, m) in disk.iter().zip(&mem) {
+        match (d, m) {
+            (Message::BaseFragment { rel: a, .. }, Message::BaseFragment { rel: b, .. }) => {
+                assert_eq!(a, b, "base fragment")
+            }
+            (
+                Message::RoundResult {
+                    h: a,
+                    segments_scanned,
+                    blocks_verified,
+                    ..
+                },
+                Message::RoundResult { h: b, .. },
+            )
+            | (
+                Message::LocalRunResult {
+                    ship: a,
+                    segments_scanned,
+                    blocks_verified,
+                    ..
+                },
+                Message::LocalRunResult { ship: b, .. },
+            ) => {
+                assert_eq!(a, b, "multi-fragment reply");
+                assert!(*segments_scanned > 0, "{d:?}");
+                assert!(*blocks_verified > 0, "{d:?}");
+            }
+            other => panic!("unexpected replies {other:?}"),
+        }
+    }
+    // The local run covers every row at one site, so its shipped states
+    // (COUNT and SUM states are their final values) are the answer.
+    let Message::LocalRunResult { ship, .. } = &disk[2] else {
+        unreachable!("matched above")
+    };
+    assert_eq!(ship.sorted().rows(), ground_truth().rows());
 }
 
 // ------------------------------------------------------ degradation ladder

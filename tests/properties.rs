@@ -256,6 +256,7 @@ proptest! {
         rows in prop::collection::vec((0i64..5, -20i64..20), 0..50),
     ) {
         use skalla::gmdj::{eval_gmdj_full, EvalOptions, LocalStrategy};
+        use skalla::storage::ScanSource;
         let schema = Schema::from_pairs([
             ("g", DataType::Int64),
             ("v", DataType::Int64),
@@ -273,9 +274,9 @@ proptest! {
             ],
             Expr::base(0).eq(Expr::detail(0)).and(Expr::detail(1).ge(Expr::lit(0))),
         )]);
-        let (hash, _) = eval_gmdj_full(&base, &table, &schema, &op, &EvalOptions::default()).unwrap();
+        let (hash, _) = eval_gmdj_full(&base, &ScanSource::table(&table), &op, &EvalOptions::default()).unwrap();
         let opts = EvalOptions { strategy: LocalStrategy::NestedLoop, ..Default::default() };
-        let (nested, _) = eval_gmdj_full(&base, &table, &schema, &op, &opts).unwrap();
+        let (nested, _) = eval_gmdj_full(&base, &ScanSource::table(&table), &op, &opts).unwrap();
         prop_assert_eq!(hash.sorted(), nested.sorted());
     }
 }

@@ -15,10 +15,9 @@ use proptest::prelude::*;
 
 use skalla::expr::Expr;
 use skalla::gmdj::{
-    eval_gmdj_dual, eval_gmdj_dual_segments, eval_gmdj_sub, eval_gmdj_sub_segments, AggSpec,
-    EvalOptions, GmdjBlock, GmdjOp,
+    eval_gmdj_dual, eval_gmdj_sub, AggSpec, EvalOptions, EvalStats, GmdjBlock, GmdjOp,
 };
-use skalla::storage::{write_segments, SegmentFile, Table};
+use skalla::storage::{write_segments, ScanSource, SegmentFile, Store, Table};
 use skalla::types::{DataType, Relation, Schema, Value};
 
 /// Unique scratch path per proptest case (cases run concurrently).
@@ -164,18 +163,18 @@ proptest! {
         write_segments(&path, &table, seg_rows).unwrap();
         let file = SegmentFile::open(&path).unwrap();
 
-        let (mem, _) = eval_gmdj_sub(&base, &table, table.schema(), &op, &opts).unwrap();
+        let (mem, _) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap();
         for prune in [false, true] {
-            let (seg, _, sc) =
-                eval_gmdj_sub_segments(&base, &file, &op, &opts, prune, None).unwrap();
+            let source = ScanSource::segments(&file).with_prune(prune);
+            let (seg, sc) = eval_gmdj_sub(&base, &source, &op, &opts).unwrap();
             assert_bits_eq(&seg.sorted(), &mem.sorted(), "sub-aggregate");
             prop_assert_eq!(
-                (sc.scanned + sc.pruned) as usize,
+                (sc.segments_scanned + sc.segments_pruned) as usize,
                 file.num_segments(),
                 "every segment is either scanned or pruned"
             );
             if !prune {
-                prop_assert_eq!(sc.pruned, 0);
+                prop_assert_eq!(sc.segments_pruned, 0);
             }
         }
         drop(file);
@@ -206,9 +205,9 @@ proptest! {
         write_segments(&path, &table, seg_rows).unwrap();
         let file = SegmentFile::open(&path).unwrap();
 
-        let mem = eval_gmdj_dual(&base, &window, table.schema(), &op, &opts).unwrap();
-        let (seg, _) =
-            eval_gmdj_dual_segments(&base, &file, &op, &opts, true, Some((lo, hi))).unwrap();
+        let mem = eval_gmdj_dual(&base, &ScanSource::table(&window), &op, &opts).unwrap();
+        let range = ScanSource::new([(Store::Segments(&file), lo..hi)]).unwrap();
+        let seg = eval_gmdj_dual(&base, &range, &op, &opts).unwrap();
         drop(file);
         std::fs::remove_file(&path).ok();
 
@@ -254,10 +253,10 @@ fn parallel_segmented_scan_is_bit_exact() {
             parallelism: par,
             ..Default::default()
         };
-        let (mem, _) = eval_gmdj_sub(&base, &table, table.schema(), &op, &opts).unwrap();
+        let (mem, _) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap();
         for prune in [false, true] {
-            let (seg, _, _) =
-                eval_gmdj_sub_segments(&base, &file, &op, &opts, prune, None).unwrap();
+            let source = ScanSource::segments(&file).with_prune(prune);
+            let (seg, _) = eval_gmdj_sub(&base, &source, &op, &opts).unwrap();
             assert_eq!(seg.sorted(), mem.sorted(), "par {par} prune {prune}");
             for (ra, rb) in seg.sorted().rows().iter().zip(mem.sorted().rows()) {
                 for (va, vb) in ra.iter().zip(rb) {
@@ -266,6 +265,28 @@ fn parallel_segmented_scan_is_bit_exact() {
                     }
                 }
             }
+        }
+    }
+    // Parallel workers decode the segments their own ranges touch, so a
+    // segment straddling a range boundary is decoded twice. The scan's
+    // segment counters are settled from the footers before the workers
+    // start: at any parallelism they equal the serial scan's, and the
+    // answer stays bit-exact with the in-memory scan cut the same way.
+    for prune in [false, true] {
+        let source = ScanSource::segments(&file).with_prune(prune);
+        let (_, serial) = eval_gmdj_sub(&base, &source, &op, &EvalOptions::default()).unwrap();
+        let counters = |s: EvalStats| (s.segments_scanned, s.segments_pruned, s.blocks_verified);
+        assert!(serial.segments_scanned > 0);
+        assert_eq!(serial.segments_pruned > 0, prune);
+        for par in [2usize, 4] {
+            let opts = EvalOptions {
+                parallelism: par,
+                ..Default::default()
+            };
+            let (mem, _) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap();
+            let (seg, stats) = eval_gmdj_sub(&base, &source, &op, &opts).unwrap();
+            assert_bits_eq(&seg, &mem, &format!("par {par} prune {prune}"));
+            assert_eq!(counters(stats), counters(serial), "par {par} prune {prune}");
         }
     }
     drop(file);
@@ -308,10 +329,79 @@ fn segment_edge_row_counts() {
         let base = table.distinct_project(&[0]).unwrap();
         let op = filtered_op(1.0);
         let opts = EvalOptions::default();
-        let (mem, _) = eval_gmdj_sub(&base, &table, table.schema(), &op, &opts).unwrap();
-        let (seg, _, _) = eval_gmdj_sub_segments(&base, &file, &op, &opts, true, None).unwrap();
+        let (mem, _) = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap();
+        let (seg, _) = eval_gmdj_sub(&base, &ScanSource::segments(&file), &op, &opts).unwrap();
         assert_eq!(seg.sorted(), mem.sorted(), "n = {n}");
         drop(file);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Zone-map pruning vs. runtime errors in θ (DESIGN.md §11): an error θ
+/// would raise only on rows of a segment whose zone map refutes one of θ's
+/// necessary bounds is not surfaced, because pruning gives that segment
+/// identity without evaluating it. With pruning off, and in memory, every
+/// row is evaluated, so both raise the same error.
+#[test]
+fn pruned_segments_do_not_surface_their_rows_errors() {
+    let schema = Schema::from_pairs([
+        ("k", DataType::Int64),
+        ("x", DataType::Int64),
+        ("y", DataType::Int64),
+        ("z", DataType::Int64),
+    ])
+    .unwrap()
+    .into_arc();
+    // x = row number; z = 0 (so y / z raises) only where x < 50.
+    let rows: Vec<Vec<Value>> = (0..200i64)
+        .map(|i| {
+            let z = if i < 50 { 0 } else { 1 };
+            vec![
+                Value::Int(i % 3),
+                Value::Int(i),
+                Value::Int(2),
+                Value::Int(z),
+            ]
+        })
+        .collect();
+    let table = Table::from_rows(schema, &rows).unwrap();
+    let base = table.distinct_project(&[0]).unwrap();
+    // b.k = r.k AND r.y / r.z > 1 AND r.x > 100
+    let op = GmdjOp::new(vec![GmdjBlock::new(
+        vec![AggSpec::count_star("c")],
+        Expr::base(0)
+            .eq(Expr::detail(0))
+            .and(Expr::detail(2).div(Expr::detail(3)).gt(Expr::lit(1)))
+            .and(Expr::detail(1).gt(Expr::lit(100))),
+    )]);
+
+    let path = scratch_path("theta-error");
+    write_segments(&path, &table, 50).unwrap();
+    let file = SegmentFile::open(&path).unwrap();
+    for compiled in [true, false] {
+        let opts = EvalOptions {
+            compiled,
+            ..Default::default()
+        };
+        // Segments 0 and 1 hold x <= 99, refuting `r.x > 100`.
+        let (pruned, stats) = eval_gmdj_sub(&base, &ScanSource::segments(&file), &op, &opts)
+            .expect("the erroring rows are all in pruned segments");
+        assert_eq!(stats.segments_pruned, 2, "compiled {compiled}");
+        assert_eq!(pruned.len(), base.len());
+
+        let unpruned = ScanSource::segments(&file).with_prune(false);
+        let full_scan = eval_gmdj_sub(&base, &unpruned, &op, &opts).unwrap_err();
+        let in_memory = eval_gmdj_sub(&base, &ScanSource::table(&table), &op, &opts).unwrap_err();
+        assert!(
+            full_scan.to_string().contains("division by zero"),
+            "{full_scan}"
+        );
+        assert_eq!(
+            full_scan.to_string(),
+            in_memory.to_string(),
+            "compiled {compiled}"
+        );
+    }
+    drop(file);
+    std::fs::remove_file(&path).ok();
 }
