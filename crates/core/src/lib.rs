@@ -51,6 +51,7 @@
 pub mod baseresult;
 pub mod cache;
 pub mod checkpoint;
+mod collect;
 pub mod message;
 pub mod metrics;
 pub mod plan;

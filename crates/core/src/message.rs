@@ -15,7 +15,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use skalla_expr::{BinOp, Expr, UnOp};
 use skalla_gmdj::{AggFunc, AggSpec, BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
 use skalla_net::wire::{put_str, put_varint};
-use skalla_net::{WireDecode, WireEncode, WireReader};
+use skalla_net::{NodeId, WireDecode, WireEncode, WireReader};
 use skalla_storage::{PartFrag, PartSketch};
 use skalla_types::{Relation, Result, SkallaError, Value};
 
@@ -281,6 +281,78 @@ impl Message {
         }
         Ok((epoch, round, m))
     }
+
+    /// The work-assignment id a request carries or a reply echoes (0 for
+    /// messages outside the task protocol, e.g. `ShipAllRequest`).
+    pub(crate) fn task(&self) -> u32 {
+        match self {
+            Message::ComputeBase { task, .. }
+            | Message::Round { task, .. }
+            | Message::LocalRun { task, .. }
+            | Message::BaseFragment { task, .. }
+            | Message::RoundResult { task, .. }
+            | Message::LocalRunResult { task, .. } => *task,
+            _ => 0,
+        }
+    }
+
+    /// Unpack a sub-aggregate reply chunk (`RoundResult` or
+    /// `LocalRunResult`) from `src`; any other message is an error.
+    pub(crate) fn into_fragment(self, src: NodeId) -> Result<Fragment> {
+        match self {
+            Message::RoundResult {
+                h,
+                compute_s,
+                blocks_compiled,
+                blocks_interpreted,
+                last,
+                sketch,
+                segments_scanned,
+                segments_pruned,
+                blocks_verified,
+                ..
+            }
+            | Message::LocalRunResult {
+                ship: h,
+                compute_s,
+                blocks_compiled,
+                blocks_interpreted,
+                last,
+                sketch,
+                segments_scanned,
+                segments_pruned,
+                blocks_verified,
+                ..
+            } => Ok(Fragment {
+                h,
+                compute_s,
+                blocks_compiled,
+                blocks_interpreted,
+                last,
+                sketch,
+                segments_scanned,
+                segments_pruned,
+                blocks_verified,
+            }),
+            other => Err(SkallaError::exec(format!(
+                "site {src}: expected round result, got {other:?}"
+            ))),
+        }
+    }
+}
+
+/// The fields of one sub-aggregate reply chunk that every synchronizing
+/// tier folds (see [`Message::RoundResult`] for their meaning).
+pub(crate) struct Fragment {
+    pub(crate) h: Relation,
+    pub(crate) compute_s: f64,
+    pub(crate) blocks_compiled: u32,
+    pub(crate) blocks_interpreted: u32,
+    pub(crate) last: bool,
+    pub(crate) sketch: Vec<PartSketch>,
+    pub(crate) segments_scanned: u64,
+    pub(crate) segments_pruned: u64,
+    pub(crate) blocks_verified: u64,
 }
 
 fn put_f64(buf: &mut BytesMut, v: f64) {

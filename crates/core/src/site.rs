@@ -86,7 +86,7 @@ pub fn run_site_with_parent(endpoint: Endpoint, catalog: Catalog, parent: skalla
             state.plan = Some(p);
             continue;
         }
-        let task = request_task(&msg);
+        let task = msg.task();
         if let Some((ce, cr, ct, cached)) = &reply_cache {
             if *ce == epoch && *cr == round && *ct == task {
                 for resp in cached.clone() {
@@ -137,17 +137,6 @@ fn reply(
     msg: Message,
 ) -> Result<()> {
     endpoint.send(parent, msg.to_wire_framed(epoch, round))
-}
-
-/// The work-assignment id a request carries (0 for messages that predate
-/// the task protocol, e.g. `ShipAllRequest`).
-fn request_task(msg: &Message) -> u32 {
-    match msg {
-        Message::ComputeBase { task, .. }
-        | Message::Round { task, .. }
-        | Message::LocalRun { task, .. } => *task,
-        _ => 0,
-    }
 }
 
 /// Mutable per-site state.

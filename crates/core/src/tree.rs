@@ -10,27 +10,35 @@
 //! exact, and the root link carries one fragment per cluster instead of one
 //! per site.
 //!
+//! A mid-tier collects its cluster through the root's round collector
+//! (`collect::Collector`): chunk-sequence and task-id deduplication,
+//! per-attempt deadlines, and re-sends of the plan and request to silent
+//! children, under the installed plan's retry policy. The mid-tier always
+//! collects under [`DegradedMode::Fail`], so a lost leaf fails its whole
+//! cluster with an `Error` reply and the root's own ladder counts the
+//! cluster as one participant. A root `Shutdown` ends any collection in
+//! progress and is relayed reliably to every leaf.
+//!
 //! Limitations (documented, not silent): coordinator-side group-reduction
 //! filters are per-*site* while the root only addresses mid-tiers, so
 //! [`TieredWarehouse::execute`] ignores `coord_filters` (dropping a
 //! reduction is always sound).
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use skalla_gmdj::{AggSpec, EvalStats};
+use skalla_gmdj::AggSpec;
 use skalla_net::{CostModel, Endpoint, FaultPlan, NodeId, SimNetwork};
 use skalla_storage::Catalog;
-use skalla_types::{DataType, Relation, Result, Schema, SkallaError};
+use skalla_types::{DataType, Relation, Result, SkallaError};
 
-use crate::message::Message;
+use crate::collect::Collector;
+use crate::message::{Fragment, Message, ScrubEntry};
 use crate::metrics::ExecMetrics;
-use crate::plan::{DistPlan, RetryPolicy};
+use crate::plan::{DegradedMode, DistPlan, RetryPolicy};
 use crate::site::run_site_with_parent;
 use crate::sync::{ShardedSync, SyncOutput, SyncSpec};
-use crate::warehouse::{sync_options_for, union_distinct, DistributedWarehouse};
+use crate::warehouse::{sync_options_for, table_schemas, union_distinct, DistributedWarehouse};
 
 /// A two-level warehouse: root coordinator → mid-tier coordinators → sites.
 pub struct TieredWarehouse {
@@ -55,10 +63,10 @@ impl TieredWarehouse {
     /// [`TieredWarehouse::launch`] with deterministic fault injection
     /// threaded into every link of the tree — root↔mid-tier and
     /// mid-tier↔site alike — so crashes inside a cluster can be exercised
-    /// reproducibly. A crashed leaf surfaces at its mid-tier as a recv
-    /// deadline (derived from the plan's retry policy) and travels upward
-    /// as an `Error` reply, which the root handles through the same
-    /// retry/degradation ladder as a flat warehouse.
+    /// reproducibly. A crashed or silent leaf fails its mid-tier's
+    /// collection once the plan's retry budget is spent, and the failure
+    /// travels upward as an `Error` reply, which the root handles through
+    /// the same retry/degradation ladder as a flat warehouse.
     pub fn launch_with_faults(
         catalogs: Vec<Catalog>,
         fanout: usize,
@@ -74,15 +82,7 @@ impl TieredWarehouse {
         }
         let k = n.div_ceil(fanout);
 
-        let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
-        for c in &catalogs {
-            for name in c.table_names() {
-                let t = c.get(name)?;
-                schemas
-                    .entry(name.to_string())
-                    .or_insert_with(|| t.schema().clone());
-            }
-        }
+        let schemas = table_schemas(&catalogs)?;
 
         let (net, mut endpoints) = SimNetwork::full_mesh_with_faults(1 + k + n, cost, faults);
         let mut site_endpoints: Vec<Endpoint> = endpoints.drain(1 + k..).collect();
@@ -170,30 +170,28 @@ impl TieredWarehouse {
     }
 }
 
-/// The mid-tier relay loop.
-fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
-    let mut state = MidState {
+/// The mid-tier relay loop: forward each root request to the cluster,
+/// collect the children's replies through the shared round collector, and
+/// answer the root with one pre-synchronized reply.
+fn run_midtier(ep: Endpoint, children: Vec<NodeId>) {
+    let mut mid = MidTier {
+        ep: &ep,
+        children,
         plan: None,
-        epoch: 0,
-        round: 0,
-        shutdown: Cell::new(false),
     };
     loop {
-        let env = match endpoint.recv() {
-            Ok(e) => e,
-            Err(_) => return,
-        };
+        let Ok(env) = ep.recv() else { return };
         // Only root messages drive the relay; child replies are collected
-        // synchronously inside each handler. A reply that arrives here is a
-        // straggler from a timed-out collection (e.g. a live leaf answering
-        // after a crashed sibling exhausted the recv budget) — drop it.
+        // inside each handler. One that arrives here is a straggler of a
+        // finished collection (a duplicate, or a live child answering after
+        // a sibling failed the collection) — drop it.
         if env.src != 0 {
             continue;
         }
         let (epoch, round, msg) = match Message::from_wire_framed(&env.payload) {
             Ok(m) => m,
             Err(e) => {
-                let _ = endpoint.send(
+                let _ = ep.send(
                     0,
                     Message::Error {
                         msg: e.to_string(),
@@ -204,110 +202,124 @@ fn run_midtier(endpoint: Endpoint, children: Vec<NodeId>) {
                 continue;
             }
         };
-        let shutdown = matches!(msg, Message::Shutdown);
-        state.epoch = epoch;
-        state.round = round;
-        match state.handle(&endpoint, &children, msg) {
-            Ok(responses) => {
-                for resp in responses {
-                    if endpoint.send(0, resp.to_wire_framed(epoch, round)).is_err() {
+        if !matches!(msg, Message::Shutdown) {
+            let mut col = mid.collector();
+            let replies = mid.handle(&mut col, epoch, round, msg).unwrap_or_else(|e| {
+                vec![Message::Error {
+                    msg: e.to_string(),
+                    corrupt: e.is_corrupt(),
+                }]
+            });
+            // A Shutdown that ended the collection is relayed below.
+            if !col.shut_down {
+                for reply in replies {
+                    if ep.send(0, reply.to_wire_framed(epoch, round)).is_err() {
                         return;
                     }
                 }
-            }
-            Err(e) => {
-                let _ = endpoint.send(
-                    0,
-                    Message::Error {
-                        msg: e.to_string(),
-                        corrupt: e.is_corrupt(),
-                    }
-                    .to_wire_framed(epoch, round),
-                );
+                continue;
             }
         }
-        if state.shutdown.get() {
-            // The root's Shutdown arrived while a child collection was in
-            // progress: relay it now that the collection has aborted.
-            let _ = state.handle(&endpoint, &children, Message::Shutdown);
-            return;
+        // Relayed reliably, as the root sends it: a leaf that lost its
+        // Shutdown would never exit, and the root's join would wait on it
+        // forever.
+        for &c in &mid.children {
+            let _ = ep.send_reliable(c, Message::Shutdown.to_wire_framed(epoch, 0));
         }
-        if shutdown {
-            return;
-        }
+        return;
     }
 }
 
-struct MidState {
-    plan: Option<DistPlan>,
-    /// Epoch of the request currently being relayed (stamped on downward
-    /// forwards, used to filter child replies).
-    epoch: u64,
-    /// Round number of the request currently being relayed (echoed by the
-    /// children and back to the root).
-    round: u32,
-    /// Set when the root's `Shutdown` arrives during a child collection.
-    /// It is framed under round 0, so the straggler filter would otherwise
-    /// drop it and leave the relay loop waiting forever.
-    shutdown: Cell<bool>,
+struct MidTier<'a> {
+    ep: &'a Endpoint,
+    children: Vec<NodeId>,
+    /// The installed `Message::Plan`, kept as the message the collector
+    /// re-sends to children that lost it.
+    plan: Option<Message>,
 }
 
-impl MidState {
-    fn handle(&mut self, ep: &Endpoint, children: &[NodeId], msg: Message) -> Result<Vec<Message>> {
+impl<'a> MidTier<'a> {
+    fn plan(&self) -> Result<&DistPlan> {
+        match &self.plan {
+            Some(Message::Plan(p)) => Ok(p),
+            _ => Err(SkallaError::exec("no plan installed at mid-tier")),
+        }
+    }
+
+    /// A collector for one request's cluster collection, under the
+    /// installed plan's retry policy (the default without one) but always
+    /// [`DegradedMode::Fail`]: a lost child fails the cluster whole, and
+    /// the root's own ladder and coverage count the cluster as one
+    /// participant.
+    fn collector(&self) -> Collector<'a> {
+        let retry = self
+            .plan()
+            .map_or_else(|_| RetryPolicy::default(), |p| p.retry.clone());
+        let retry = RetryPolicy {
+            degraded: DegradedMode::Fail,
+            ..retry
+        };
+        Collector::new(self.ep, self.children.len(), retry)
+    }
+
+    /// Forward `req` to every child and hand each accepted reply to `sink`.
+    fn collect(
+        &self,
+        col: &mut Collector<'_>,
+        epoch: u64,
+        round: u32,
+        req: &Message,
+        sink: &mut dyn FnMut(NodeId, Message) -> Result<()>,
+    ) -> Result<()> {
+        let requests = self.children.iter().map(|&c| (c, req.clone())).collect();
+        col.collect(epoch, round, self.plan.as_ref(), requests, None, sink)?;
+        Ok(())
+    }
+
+    fn handle(
+        &mut self,
+        col: &mut Collector<'_>,
+        epoch: u64,
+        round: u32,
+        msg: Message,
+    ) -> Result<Vec<Message>> {
         match msg {
-            Message::Plan(p) => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::Plan(p.clone()).to_wire_framed(self.epoch, self.round),
-                    )?;
+            Message::Plan(_) => {
+                // A lost forward is repaired by the collector, which
+                // re-sends the plan with every retried request.
+                for &c in &self.children {
+                    let _ = self.ep.send(c, msg.to_wire_framed(epoch, round));
                 }
-                self.plan = Some(p);
+                self.plan = Some(msg);
                 Ok(Vec::new())
             }
-            Message::Shutdown => {
-                for &c in children {
-                    let _ = ep.send(c, Message::Shutdown.to_wire_framed(self.epoch, self.round));
-                }
-                Ok(Vec::new())
-            }
-            Message::ComputeBase { parts, task } => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ComputeBase {
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
+            Message::ComputeBase { task, .. } => {
+                // Without a plan the children could only fail; failing
+                // fast lets the root re-send the plan with its retry.
+                self.plan()?;
                 // Fragments are staged per child and unioned in ascending
                 // child id, so the cluster's `B₀` row order depends only on
                 // the data, never on which child answered first.
                 let mut staged: BTreeMap<NodeId, Relation> = BTreeMap::new();
                 let mut max_s: f64 = 0.0;
                 let mut sketches = Vec::new();
-                for _ in children {
-                    let (src, msg) = self.recv(ep)?;
-                    match msg {
-                        Message::BaseFragment {
-                            rel,
-                            compute_s,
-                            sketch,
-                            ..
-                        } => {
-                            max_s = max_s.max(compute_s);
-                            sketches.extend(sketch);
-                            staged.insert(src, rel);
-                        }
-                        other => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected BaseFragment, got {other:?}"
-                            )))
-                        }
-                    }
-                }
+                self.collect(col, epoch, round, &msg, &mut |src, reply| {
+                    let Message::BaseFragment {
+                        rel,
+                        compute_s,
+                        sketch,
+                        ..
+                    } = reply
+                    else {
+                        return Err(SkallaError::exec(format!(
+                            "site {src}: expected BaseFragment, got {reply:?}"
+                        )));
+                    };
+                    max_s = max_s.max(compute_s);
+                    sketches.extend(sketch);
+                    staged.insert(src, rel);
+                    Ok(())
+                })?;
                 Ok(vec![Message::BaseFragment {
                     rel: union_distinct(staged.into_values())?,
                     compute_s: max_s,
@@ -315,133 +327,82 @@ impl MidState {
                     sketch: sketches,
                 }])
             }
-            Message::Round {
-                op_idx,
-                base,
-                parts,
-                task,
-            } => {
-                let specs = self.segment_specs(op_idx as usize, op_idx as usize)?;
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::Round {
-                            op_idx,
-                            base: base.clone(),
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let (merged, max_s, bc, bi, sketches, seg) =
-                    self.merge_cluster(ep, children.len(), specs)?;
+            Message::Round { op_idx, task, .. } => {
+                let c = self.merge_cluster(col, epoch, round, op_idx, op_idx, &msg)?;
                 Ok(vec![Message::RoundResult {
                     op_idx,
                     seq: 0,
-                    h: merged,
-                    compute_s: max_s,
-                    blocks_compiled: bc,
-                    blocks_interpreted: bi,
+                    h: c.h,
+                    compute_s: c.compute_s,
+                    blocks_compiled: c.blocks_compiled,
+                    blocks_interpreted: c.blocks_interpreted,
                     last: true,
                     task,
-                    sketch: sketches,
-                    segments_scanned: seg.segments_scanned,
-                    segments_pruned: seg.segments_pruned,
-                    blocks_verified: seg.blocks_verified,
+                    sketch: c.sketch,
+                    segments_scanned: c.segments_scanned,
+                    segments_pruned: c.segments_pruned,
+                    blocks_verified: c.blocks_verified,
                 }])
             }
             Message::LocalRun {
-                start,
-                end,
-                base,
-                parts,
-                task,
+                start, end, task, ..
             } => {
-                let specs = self.segment_specs(start as usize, end as usize)?;
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::LocalRun {
-                            start,
-                            end,
-                            base: base.clone(),
-                            parts: parts.clone(),
-                            task,
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let (merged, max_s, bc, bi, sketches, seg) =
-                    self.merge_cluster(ep, children.len(), specs)?;
+                let c = self.merge_cluster(col, epoch, round, start, end, &msg)?;
                 Ok(vec![Message::LocalRunResult {
                     end,
                     seq: 0,
-                    ship: merged,
-                    compute_s: max_s,
-                    blocks_compiled: bc,
-                    blocks_interpreted: bi,
+                    ship: c.h,
+                    compute_s: c.compute_s,
+                    blocks_compiled: c.blocks_compiled,
+                    blocks_interpreted: c.blocks_interpreted,
                     last: true,
                     task,
-                    sketch: sketches,
-                    segments_scanned: seg.segments_scanned,
-                    segments_pruned: seg.segments_pruned,
-                    blocks_verified: seg.blocks_verified,
+                    sketch: c.sketch,
+                    segments_scanned: c.segments_scanned,
+                    segments_pruned: c.segments_pruned,
+                    blocks_verified: c.blocks_verified,
                 }])
             }
             Message::ScrubRequest => {
-                // Fan the scrub out and concatenate the cluster's reports:
-                // the root sees one flat entry list per mid-tier, exactly
-                // as if the leaves were its direct children.
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ScrubRequest.to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let mut entries = Vec::new();
-                for _ in children {
-                    match self.recv(ep)?.1 {
-                        Message::ScrubReport { entries: e } => entries.extend(e),
-                        other => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected ScrubReport, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(vec![Message::ScrubReport { entries }])
+                // The cluster's reports concatenated in child order: the
+                // root sees one flat entry list per mid-tier, exactly as if
+                // the leaves were its direct children.
+                let mut staged: BTreeMap<NodeId, Vec<ScrubEntry>> = BTreeMap::new();
+                self.collect(col, epoch, round, &msg, &mut |src, reply| {
+                    let Message::ScrubReport { entries } = reply else {
+                        return Err(SkallaError::exec(format!(
+                            "site {src}: expected ScrubReport, got {reply:?}"
+                        )));
+                    };
+                    staged.insert(src, entries);
+                    Ok(())
+                })?;
+                Ok(vec![Message::ScrubReport {
+                    entries: staged.into_values().flatten().collect(),
+                }])
             }
-            Message::ShipAllRequest { table } => {
-                for &c in children {
-                    ep.send(
-                        c,
-                        Message::ShipAllRequest {
-                            table: table.clone(),
-                        }
-                        .to_wire_framed(self.epoch, self.round),
-                    )?;
-                }
-                let mut combined: Option<Relation> = None;
+            Message::ShipAllRequest { .. } => {
+                let mut staged: BTreeMap<NodeId, Relation> = BTreeMap::new();
                 let mut total_s = 0.0;
-                for _ in children {
-                    match self.recv(ep)?.1 {
-                        Message::ShipAllData { rel, compute_s } => {
-                            total_s += compute_s;
-                            match &mut combined {
-                                None => combined = Some(rel),
-                                Some(acc) => acc.union_all(rel)?,
-                            }
-                        }
-                        other => {
-                            return Err(SkallaError::exec(format!(
-                                "mid-tier expected ShipAllData, got {other:?}"
-                            )))
-                        }
-                    }
+                self.collect(col, epoch, round, &msg, &mut |src, reply| {
+                    let Message::ShipAllData { rel, compute_s } = reply else {
+                        return Err(SkallaError::exec(format!(
+                            "site {src}: expected ShipAllData, got {reply:?}"
+                        )));
+                    };
+                    total_s += compute_s;
+                    staged.insert(src, rel);
+                    Ok(())
+                })?;
+                let mut parts = staged.into_values();
+                let mut rel = parts
+                    .next()
+                    .ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?;
+                for p in parts {
+                    rel.union_all(p)?;
                 }
                 Ok(vec![Message::ShipAllData {
-                    rel: combined.ok_or_else(|| SkallaError::exec("mid-tier cluster is empty"))?,
+                    rel,
                     compute_s: total_s,
                 }])
             }
@@ -451,221 +412,106 @@ impl MidState {
         }
     }
 
-    /// Collect one child reply and its sender, bounded by the plan's full
-    /// retry budget (the sum of every attempt window). A crashed or silent
-    /// child turns into an error instead of hanging the mid-tier forever;
-    /// the error travels upward as an `Error` reply, where the root's own
-    /// retry/degradation ladder takes over.
-    fn recv(&self, ep: &Endpoint) -> Result<(NodeId, Message)> {
-        let deadline = Instant::now() + self.recv_budget();
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(SkallaError::exec(
-                    "cluster child did not respond within the retry budget",
-                ));
-            }
-            let Some(env) = ep.try_recv_for(remaining)? else {
-                continue; // loop re-checks the deadline
-            };
-            let (epoch, round, msg) = Message::from_wire_framed(&env.payload)?;
-            if env.src == 0 && matches!(msg, Message::Shutdown) {
-                self.shutdown.set(true);
-                return Err(SkallaError::exec("mid-tier shut down during collection"));
-            }
-            if epoch != self.epoch || round != self.round {
-                continue; // straggler from an aborted query or earlier round
-            }
-            if let Message::Error { msg, corrupt } = msg {
-                let m = format!("site {}: {msg}", env.src);
-                // Keep the corruption marker as the error crosses the
-                // tier: the root skips its retry budget for it.
-                return Err(if corrupt {
-                    SkallaError::corrupt(m)
-                } else {
-                    SkallaError::exec(m)
-                });
-            }
-            return Ok((env.src, msg));
-        }
-    }
-
-    /// The total time this mid-tier will wait on any one child reply:
-    /// the installed plan's attempt windows summed (so the subtree never
-    /// gives up before the root would), or the default policy's budget
-    /// when no plan is installed (ship-all).
-    fn recv_budget(&self) -> Duration {
-        let default_retry = RetryPolicy::default();
-        let retry = self.plan.as_ref().map_or(&default_retry, |p| &p.retry);
-        (0..=retry.max_retries)
-            .map(|a| retry.deadline_for_attempt(a))
-            .sum()
-    }
-
-    /// Flattened aggregate specs for the segment `start..=end`.
-    fn segment_specs(&self, start: usize, end: usize) -> Result<Vec<AggSpec>> {
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| SkallaError::exec("no plan installed at mid-tier"))?;
+    /// Pre-synchronize the cluster's sub-aggregate fragments for operators
+    /// `start..=end` (row-blocked chunks included) with the root's engine
+    /// and knobs. The reply folds the children's counters: the slowest
+    /// compute time, summed block and segment counters, and concatenated
+    /// skew sketches (relayed so the root still learns per-partition loads
+    /// through the tree).
+    fn merge_cluster(
+        &self,
+        col: &mut Collector<'_>,
+        epoch: u64,
+        round: u32,
+        start: u32,
+        end: u32,
+        req: &Message,
+    ) -> Result<Fragment> {
+        let plan = self.plan()?;
+        let (start, end) = (start as usize, end as usize);
         if end >= plan.expr.ops.len() || start > end {
             return Err(SkallaError::exec("segment out of range at mid-tier"));
         }
-        let mut specs = Vec::new();
-        for op in &plan.expr.ops[start..=end] {
-            specs.extend(op.all_aggs().cloned());
-        }
-        Ok(specs)
-    }
-
-    /// Pre-synchronize the cluster's fragments (handles row-blocked chunks)
-    /// and return the merged state relation, the slowest child time, the
-    /// cluster's summed compiled/interpreted block counts, the children's
-    /// concatenated skew sketches (relayed upward so the root still learns
-    /// per-partition loads through the tree), and the cluster's summed
-    /// segment scan/prune counters.
-    #[allow(clippy::type_complexity)]
-    fn merge_cluster(
-        &self,
-        ep: &Endpoint,
-        num_children: usize,
-        specs: Vec<AggSpec>,
-    ) -> Result<(
-        Relation,
-        f64,
-        u32,
-        u32,
-        Vec<skalla_storage::PartSketch>,
-        EvalStats,
-    )> {
-        let plan = self.plan.as_ref().expect("checked in segment_specs");
-        let key = plan.expr.key.clone();
+        let specs: Vec<AggSpec> = plan.expr.ops[start..=end]
+            .iter()
+            .flat_map(|op| op.all_aggs().cloned())
+            .collect();
         let state_width: usize = specs.iter().map(AggSpec::state_width).sum();
-
-        // The mid-tier pre-synchronizes its cluster with the root's engine
-        // and the root's knobs.
-        let mut x: Option<ShardedSync> = None;
-        let mut pending = num_children;
-        let mut max_s: f64 = 0.0;
-        let mut total_bc = 0u32;
-        let mut total_bi = 0u32;
-        let mut sketches = Vec::new();
-        let mut seg = EvalStats::default();
-        while pending > 0 {
-            let (h, compute_s, bc, bi, last, sketch, scanned, pruned, blk_v) =
-                match self.recv(ep)?.1 {
-                    Message::RoundResult {
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    Message::LocalRunResult {
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    other => {
-                        return Err(SkallaError::exec(format!(
-                            "mid-tier expected round result, got {other:?}"
-                        )))
-                    }
-                };
-            if last {
-                max_s = max_s.max(compute_s);
-                total_bc += bc;
-                total_bi += bi;
-                sketches.extend(sketch);
-                seg.segments_scanned += scanned;
-                seg.segments_pruned += pruned;
-                seg.blocks_verified += blk_v;
-                pending -= 1;
+        let new_sync = |h: &Relation| -> Result<ShardedSync> {
+            // Shaped from the first fragment: its schema is base columns
+            // followed by state columns, whose declared types site ship
+            // schemas carry.
+            if h.schema().len() < state_width {
+                return Err(SkallaError::exec("fragment narrower than aggregate state"));
             }
-            let x = match &mut x {
-                Some(x) => x,
-                None => {
-                    // Lazily shape the structure from the first fragment:
-                    // its schema is base columns followed by state columns.
-                    if h.schema().len() < state_width {
-                        return Err(SkallaError::exec("fragment narrower than aggregate state"));
-                    }
-                    let base_width = h.schema().len() - state_width;
-                    let base_cols: Vec<usize> = (0..base_width).collect();
-                    let base_schema = Arc::new(h.schema().project(&base_cols)?);
-                    // Declared state types come off the fragment's
-                    // schema tail (site ship schemas carry them).
-                    let state_types: Vec<DataType> = h.schema().fields()[base_width..]
-                        .iter()
-                        .map(|f| f.dtype)
-                        .collect();
-                    let sync = ShardedSync::new(
-                        SyncSpec {
-                            base_schema,
-                            key_cols: key.clone(),
-                            specs: specs.clone(),
-                            state_types,
-                            output: SyncOutput::State,
-                            allow_new: true,
-                        },
-                        None,
-                        sync_options_for(plan),
-                    )?;
-                    x = Some(sync);
-                    x.as_mut().expect("just set")
-                }
-            };
-            x.merge_chunk(h)?;
-        }
-        let merged = match x {
-            Some(s) => s.finish()?.0,
-            None => return Err(SkallaError::exec("mid-tier cluster produced no fragments")),
+            let base_width = h.schema().len() - state_width;
+            let base_cols: Vec<usize> = (0..base_width).collect();
+            let state_types: Vec<DataType> = h.schema().fields()[base_width..]
+                .iter()
+                .map(|f| f.dtype)
+                .collect();
+            ShardedSync::new(
+                SyncSpec {
+                    base_schema: Arc::new(h.schema().project(&base_cols)?),
+                    key_cols: plan.expr.key.clone(),
+                    specs: specs.clone(),
+                    state_types,
+                    output: SyncOutput::State,
+                    allow_new: true,
+                },
+                None,
+                sync_options_for(plan),
+            )
         };
-        Ok((merged, max_s, total_bc, total_bi, sketches, seg))
+        let mut sync: Option<ShardedSync> = None;
+        let mut max_s: f64 = 0.0;
+        let (mut bc, mut bi) = (0u32, 0u32);
+        let (mut scanned, mut pruned, mut verified) = (0u64, 0u64, 0u64);
+        let mut sketches = Vec::new();
+        self.collect(col, epoch, round, req, &mut |src, reply| {
+            let f = reply.into_fragment(src)?;
+            if f.last {
+                max_s = max_s.max(f.compute_s);
+                bc += f.blocks_compiled;
+                bi += f.blocks_interpreted;
+                sketches.extend(f.sketch);
+                scanned += f.segments_scanned;
+                pruned += f.segments_pruned;
+                verified += f.blocks_verified;
+            }
+            let x = match &mut sync {
+                Some(x) => x,
+                None => sync.insert(new_sync(&f.h)?),
+            };
+            x.merge_chunk(f.h)
+        })?;
+        let sync =
+            sync.ok_or_else(|| SkallaError::exec("mid-tier cluster produced no fragments"))?;
+        Ok(Fragment {
+            h: sync.finish()?.0,
+            compute_s: max_s,
+            blocks_compiled: bc,
+            blocks_interpreted: bi,
+            last: true,
+            sketch: sketches,
+            segments_scanned: scanned,
+            segments_pruned: pruned,
+            blocks_verified: verified,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::mpsc;
+    use std::time::Duration;
 
     use skalla_expr::Expr;
     use skalla_gmdj::{BaseSpec, GmdjBlock, GmdjExpr, GmdjOp};
 
+    use skalla_types::Schema;
+
     use super::*;
-    use crate::plan::DegradedMode;
 
     /// `BASE DISTINCT k FROM flow; MD COUNT(*) WHERE b.k = r.k`.
     fn count_expr() -> GmdjExpr {
@@ -735,6 +581,52 @@ mod tests {
         assert_eq!(b0s[0].rows(), frag(&[1, 2, 3]).rows());
         assert_eq!(b0s[1].rows(), b0s[0].rows());
         root.send_reliable(1, Message::Shutdown.to_wire_framed(2, 0))
+            .unwrap();
+        relay.join().unwrap();
+    }
+
+    /// The mid-tier expects each child to echo the task id of its own
+    /// request: a reply for another task (a superseded assignment) is
+    /// dropped, and duplicates of the accepted reply are not merged again.
+    #[test]
+    fn mid_tier_accepts_only_the_requests_task() {
+        let (_net, mut eps) = SimNetwork::full_mesh(3, CostModel::free());
+        let child = eps.pop().expect("child endpoint");
+        let mid = eps.pop().expect("mid-tier endpoint");
+        let root = eps.pop().expect("root endpoint");
+        let relay = std::thread::spawn(move || run_midtier(mid, vec![2]));
+        let plan = DistPlan::unoptimized(count_expr());
+        root.send(1, Message::Plan(plan).to_wire_framed(1, 1))
+            .unwrap();
+        let compute = Message::ComputeBase {
+            parts: None,
+            task: 5,
+        };
+        root.send(1, compute.to_wire_framed(1, 2)).unwrap();
+        while !matches!(recv_msg(&child), Message::ComputeBase { task: 5, .. }) {}
+        let schema = Schema::from_pairs([("k", DataType::Int64)])
+            .unwrap()
+            .into_arc();
+        let frag = |k: i64| {
+            Relation::new(schema.clone(), vec![vec![skalla_types::Value::Int(k)]]).unwrap()
+        };
+        for (task, k) in [(0, 1), (5, 2), (5, 3)] {
+            let reply = Message::BaseFragment {
+                rel: frag(k),
+                compute_s: 0.0,
+                task,
+                sketch: Vec::new(),
+            };
+            child.send(1, reply.to_wire_framed(1, 2)).unwrap();
+        }
+        match recv_msg(&root) {
+            Message::BaseFragment { rel, task, .. } => {
+                assert_eq!(task, 5);
+                assert_eq!(rel.rows(), frag(2).rows());
+            }
+            other => panic!("expected BaseFragment, got {other:?}"),
+        }
+        root.send_reliable(1, Message::Shutdown.to_wire_framed(1, 0))
             .unwrap();
         relay.join().unwrap();
     }

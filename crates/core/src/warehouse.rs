@@ -12,11 +12,11 @@
 //! detail data to the coordinator and evaluate centrally — the strategy
 //! whose transfer volume Theorem 2 shows Skalla never needs.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use skalla_expr::{eval_base, Expr};
@@ -29,6 +29,7 @@ use skalla_storage::{
 use skalla_types::{DataType, Field, Relation, Result, Schema, SkallaError, Value};
 
 use crate::checkpoint::{plan_fingerprint, CheckpointRecord, CheckpointWal};
+use crate::collect::{Collector, FailoverEvents, FailoverRound};
 use crate::message::{Message, ScrubEntry};
 use crate::metrics::{Coverage, ExecMetrics, RoundMetrics};
 use crate::plan::{BaseRound, DegradedMode, DistPlan, RetryPolicy, Segment};
@@ -47,6 +48,31 @@ pub(crate) fn union_distinct(frags: impl IntoIterator<Item = Relation>) -> Resul
         b0.union_all(rel)?;
     }
     Ok(b0.distinct())
+}
+
+/// Every table's schema across the sites' catalogs (global metadata every
+/// coordinator holds), read from footer metadata for segment-backed
+/// names so launch never materializes out-of-core tables. A table whose
+/// schema differs between sites is rejected.
+pub(crate) fn table_schemas(catalogs: &[Catalog]) -> Result<HashMap<String, Arc<Schema>>> {
+    let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
+    for c in catalogs {
+        for name in c.table_names() {
+            let s = c.schema_of(name)?;
+            match schemas.get(name) {
+                None => {
+                    schemas.insert(name.to_string(), s);
+                }
+                Some(existing) if **existing == *s => {}
+                Some(_) => {
+                    return Err(SkallaError::schema(format!(
+                        "table `{name}` has differing schemas across sites"
+                    )))
+                }
+            }
+        }
+    }
+    Ok(schemas)
 }
 
 /// The sync pipeline knobs a plan implies: `coord_parallelism` workers
@@ -144,25 +170,7 @@ impl DistributedWarehouse {
         if n == 0 {
             return Err(SkallaError::plan("warehouse needs at least one site"));
         }
-        let mut schemas: HashMap<String, Arc<Schema>> = HashMap::new();
-        for c in &catalogs {
-            for name in c.table_names() {
-                // schema_of reads footer metadata for segment-backed
-                // names — launch never materializes out-of-core tables.
-                let s = c.schema_of(name)?;
-                match schemas.get(name) {
-                    None => {
-                        schemas.insert(name.to_string(), s);
-                    }
-                    Some(existing) if **existing == *s => {}
-                    Some(_) => {
-                        return Err(SkallaError::schema(format!(
-                            "table `{name}` has differing schemas across sites"
-                        )))
-                    }
-                }
-            }
-        }
+        let schemas = table_schemas(&catalogs)?;
 
         let (net, mut endpoints) = SimNetwork::full_mesh_with_faults(n + 1, cost, faults);
         // endpoints[0] is the coordinator; 1..=n are the sites.
@@ -250,632 +258,9 @@ impl DistributedWarehouse {
         }
     }
 
-    /// Send one round's requests and collect every reply, enforcing the
-    /// retry policy's per-round deadline.
-    ///
-    /// Accepted in-order reply messages are handed to `sink`; duplicated
-    /// frames and replayed chunks are discarded by sequence number, so the
-    /// sink's (non-idempotent) merge sees each chunk exactly once. When a
-    /// round's deadline expires, the plan and request are re-sent to every
-    /// silent site (sites replay served rounds from a reply cache, so this
-    /// is always safe) with exponential backoff. A site that exhausts the
-    /// budget — or whose channel is gone — is handled per the degraded
-    /// mode: [`DegradedMode::Fail`] errors naming the site,
-    /// [`DegradedMode::Partial`] records it in `dead` and the round
-    /// completes from the remaining sites.
-    ///
-    /// With a [`FailoverRound`] (replicated launch +
-    /// [`DegradedMode::Failover`]) the round is fault-transparent instead:
-    /// replies are *staged* per site and only merged once the site's final
-    /// chunk arrives, so a lost site's partial reply is discarded whole and
-    /// its partitions are re-requested from surviving replicas via
-    /// [`DistributedWarehouse::run_failover`] under a fresh epoch.
-    ///
-    /// Every request transmission (first send, retry, or failover restart)
-    /// increments the site's entry in `attempts`, feeding the per-site
-    /// retry histogram in [`ExecMetrics`].
-    ///
-    /// Seconds spent decoding reply frames off the wire are accumulated
-    /// into `decode_s`, separately from whatever the sink does with the
-    /// decoded message.
-    /// `epoch` is the calling query run's private epoch: concurrent runs
-    /// each allocate their own from the warehouse-global counter, so a
-    /// site's reply cache can never replay one query's round to another.
-    /// The returned epoch is the (possibly failover-bumped) epoch the
-    /// round finished under, which the caller must adopt.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_round(
-        &self,
-        epoch: u64,
-        round: u32,
-        retry: &RetryPolicy,
-        resend_plan: Option<&Message>,
-        requests: Vec<(NodeId, Message)>,
-        dead: &mut HashSet<NodeId>,
-        attempts: &mut BTreeMap<NodeId, u32>,
-        decode_s: &mut f64,
-        checksum_failures: &mut u64,
-        mut failover: Option<&mut FailoverRound<'_>>,
-        sink: &mut dyn FnMut(NodeId, Message) -> Result<()>,
-    ) -> Result<u64> {
-        let round_start = Instant::now();
-        let mut st = RoundState {
-            epoch,
-            round,
-            prog: requests
-                .iter()
-                .map(|(s, _)| (*s, SiteProgress::default()))
-                .collect(),
-            reqs: requests.into_iter().collect(),
-            staged: BTreeMap::new(),
-        };
-        let offload_armed = failover
-            .as_deref()
-            .is_some_and(|fo| fo.offload_factor.is_some());
-        let mut lost: Vec<NodeId> = Vec::new();
-        for (site, req) in &st.reqs {
-            *attempts.entry(*site).or_default() += 1;
-            if self
-                .coord
-                .send(*site, req.to_wire_framed(st.epoch, round))
-                .is_err()
-            {
-                lost.push(*site);
-            }
-        }
-        self.handle_lost(
-            lost,
-            retry,
-            dead,
-            &mut st,
-            failover.as_deref_mut(),
-            attempts,
-            resend_plan,
-        )?;
-        let mut timeouts = 0u32;
-        while st.prog.values().any(|p| !p.done) {
-            let window = retry.deadline_for_attempt(timeouts);
-            let mut deadline = Instant::now() + window;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                // With offload armed, wake every couple of milliseconds to
-                // check for stragglers instead of blocking out the full
-                // attempt window.
-                let wait = if offload_armed {
-                    remaining.min(Duration::from_millis(2))
-                } else {
-                    remaining
-                };
-                let env = match self.coord.try_recv_for(wait) {
-                    Ok(Some(env)) => env,
-                    Ok(None) => {
-                        if let (true, Some(fo)) = (offload_armed, failover.as_deref_mut()) {
-                            self.maybe_offload(&mut st, fo, dead, round_start, attempts);
-                            // Poll tick: the loop head breaks once the real
-                            // attempt window has expired.
-                            continue;
-                        }
-                        break; // attempt window expired
-                    }
-                    Err(e) => {
-                        // Every peer endpoint is gone: no reply can ever
-                        // arrive for the remaining sites.
-                        if retry.degraded == DegradedMode::Fail {
-                            return Err(e);
-                        }
-                        let silent = pending_sites(&st.prog);
-                        self.handle_lost(
-                            silent,
-                            retry,
-                            dead,
-                            &mut st,
-                            failover.as_deref_mut(),
-                            attempts,
-                            resend_plan,
-                        )?;
-                        break;
-                    }
-                };
-                let t_decode = Instant::now();
-                let decoded = Message::from_wire_framed(&env.payload);
-                *decode_s += t_decode.elapsed().as_secs_f64();
-                let Ok((e, r, msg)) = decoded else {
-                    continue; // unparseable frame: treated as loss, retry recovers
-                };
-                if e != st.epoch || r != round {
-                    continue; // straggler from an aborted query, earlier
-                              // round, or pre-failover wave
-                }
-                let src = env.src;
-                match st.prog.get(&src) {
-                    Some(p) if !p.done => {}
-                    // Not a participant, or a duplicate after completion.
-                    _ => continue,
-                }
-                if let Message::Error { msg, corrupt } = msg {
-                    // A checksum failure is deterministic — re-reading the
-                    // same bytes fails the same way — so corrupt replies
-                    // skip the retry budget entirely and go straight to
-                    // failover (replicas are bit-identical) or the
-                    // degradation ladder.
-                    if corrupt {
-                        *checksum_failures += 1;
-                    }
-                    let exhausted = corrupt || {
-                        let p = st.prog.get_mut(&src).expect("participant checked");
-                        p.error_retries += 1;
-                        p.error_retries > retry.max_retries
-                    };
-                    if exhausted {
-                        if failover.is_some() {
-                            // The site keeps failing; its replicas may not.
-                            self.handle_lost(
-                                vec![src],
-                                retry,
-                                dead,
-                                &mut st,
-                                failover.as_deref_mut(),
-                                attempts,
-                                resend_plan,
-                            )?;
-                            continue;
-                        }
-                        match retry.degraded {
-                            DegradedMode::Fail => {
-                                let m = format!("site {src}: {msg}");
-                                return Err(if corrupt {
-                                    SkallaError::corrupt(m)
-                                } else {
-                                    SkallaError::exec(m)
-                                });
-                            }
-                            // A persistently erroring site (e.g. a mid-tier
-                            // whose cluster lost a leaf) degrades like a
-                            // silent one: drop it and keep the survivors.
-                            DegradedMode::Partial | DegradedMode::Failover => {
-                                self.site_lost(src, retry, dead, &mut st.prog)?;
-                                continue;
-                            }
-                        }
-                    }
-                    *attempts.entry(src).or_default() += 1;
-                    if self.resend(src, resend_plan, &st).is_err() {
-                        self.handle_lost(
-                            vec![src],
-                            retry,
-                            dead,
-                            &mut st,
-                            failover.as_deref_mut(),
-                            attempts,
-                            resend_plan,
-                        )?;
-                    }
-                    continue;
-                }
-                let Some((seq, last)) = reply_seq_last(&msg) else {
-                    return Err(SkallaError::exec(format!(
-                        "site {src}: expected round reply, got {msg:?}"
-                    )));
-                };
-                {
-                    let p = st.prog.get_mut(&src).expect("participant checked");
-                    if reply_task(&msg) != p.task {
-                        continue; // reply for a superseded assignment
-                    }
-                    if seq != p.expected_seq {
-                        continue; // duplicated or replayed chunk
-                    }
-                    p.expected_seq += 1;
-                    if last {
-                        p.done = true;
-                        p.done_at = Some(Instant::now());
-                    }
-                }
-                match failover.as_deref_mut() {
-                    // Under failover, chunks are staged and only merged
-                    // once the site's reply is complete: a site lost
-                    // mid-reply leaves nothing behind to roll back.
-                    Some(fo) => {
-                        st.staged.entry(src).or_default().push(msg);
-                        if last {
-                            for m in st.staged.remove(&src).unwrap_or_default() {
-                                sink(src, m)?;
-                            }
-                            // The site's partitions are now served; a later
-                            // failure of this site costs nothing this round.
-                            fo.site_parts.remove(&src);
-                            // First complete side of an offload offer wins:
-                            // the loser's staged chunks are discarded whole
-                            // and it owes nothing further this round.
-                            if let Some(i) = fo
-                                .offers
-                                .iter()
-                                .position(|o| o.laggard == src || o.helper == src)
-                            {
-                                let o = fo.offers.swap_remove(i);
-                                let loser = if o.helper == src {
-                                    fo.events.offload_wins += 1;
-                                    // The helper just served the laggard's
-                                    // residual work.
-                                    fo.site_parts.remove(&o.laggard);
-                                    o.laggard
-                                } else {
-                                    o.helper
-                                };
-                                st.staged.remove(&loser);
-                                if let Some(p) = st.prog.get_mut(&loser) {
-                                    p.done = true;
-                                }
-                            }
-                        }
-                    }
-                    None => sink(src, msg)?,
-                }
-                // Replies are flowing; extend this attempt's window.
-                deadline = Instant::now() + window;
-                if st.prog.values().all(|p| p.done) {
-                    break;
-                }
-            }
-            let silent = pending_sites(&st.prog);
-            if silent.is_empty() {
-                break;
-            }
-            timeouts += 1;
-            if timeouts > retry.max_retries {
-                if let Some(fo) = failover.as_deref_mut() {
-                    self.run_failover(silent, fo, dead, &mut st, attempts, resend_plan)?;
-                    // The re-planned wave earns a fresh deadline budget;
-                    // this terminates because every failover permanently
-                    // removes at least one site.
-                    timeouts = 0;
-                } else {
-                    match retry.degraded {
-                        DegradedMode::Fail => {
-                            return Err(SkallaError::exec(format!(
-                                "site {} did not respond within {:?} after {} retries",
-                                silent[0], window, retry.max_retries
-                            )));
-                        }
-                        DegradedMode::Partial | DegradedMode::Failover => {
-                            for s in silent {
-                                self.site_lost(s, retry, dead, &mut st.prog)?;
-                            }
-                        }
-                    }
-                }
-            } else {
-                let mut lost = Vec::new();
-                for s in silent {
-                    *attempts.entry(s).or_default() += 1;
-                    if self.resend(s, resend_plan, &st).is_err() {
-                        lost.push(s);
-                    }
-                }
-                self.handle_lost(
-                    lost,
-                    retry,
-                    dead,
-                    &mut st,
-                    failover.as_deref_mut(),
-                    attempts,
-                    resend_plan,
-                )?;
-            }
-        }
-        Ok(st.epoch)
-    }
-
-    /// Mid-round straggler offload: once at least half the round's sites
-    /// have delivered their final chunk, a site lagging
-    /// `offload_factor ×` the median completion time has its residual
-    /// fragments duplicated to one idle replica host under a fresh task
-    /// id. Both sides keep computing; the first to finish wins and the
-    /// other's staged reply is discarded whole (see the acceptance path in
-    /// `collect_round`). A laggard gets at most one outstanding offer, and
-    /// the helper must host every owed fragment's partition — answers are
-    /// bit-for-bit unchanged because replicas are bit-identical and the
-    /// task-id check keeps the two assignments from ever mixing.
-    fn maybe_offload(
-        &self,
-        st: &mut RoundState,
-        fo: &mut FailoverRound<'_>,
-        dead: &HashSet<NodeId>,
-        round_start: Instant,
-        attempts: &mut BTreeMap<NodeId, u32>,
-    ) {
-        let Some(factor) = fo.offload_factor else {
-            return;
-        };
-        let mut done_times: Vec<f64> = st
-            .prog
-            .values()
-            .filter_map(|p| p.done_at)
-            .map(|t| t.duration_since(round_start).as_secs_f64())
-            .collect();
-        if done_times.len() * 2 < st.prog.len() {
-            return; // not enough finishers to estimate the round's pace
-        }
-        done_times.sort_by(f64::total_cmp);
-        let median = done_times[done_times.len() / 2];
-        if round_start.elapsed().as_secs_f64() < factor * median {
-            return;
-        }
-        let laggards: Vec<NodeId> = st
-            .prog
-            .iter()
-            .filter(|(s, p)| {
-                !p.done
-                    && !fo
-                        .offers
-                        .iter()
-                        .any(|o| o.laggard == **s || o.helper == **s)
-            })
-            .map(|(s, _)| *s)
-            .collect();
-        for laggard in laggards {
-            let owed = match fo.site_parts.get(&laggard) {
-                Some(fs) if !fs.is_empty() => fs.clone(),
-                _ => continue,
-            };
-            // The idle site that finished earliest, hosts every owed
-            // fragment's partition, and is not already part of an offer.
-            let helper = st
-                .prog
-                .iter()
-                .filter(|(s, p)| {
-                    **s != laggard
-                        && p.done
-                        && p.done_at.is_some()
-                        && !dead.contains(s)
-                        && !fo
-                            .offers
-                            .iter()
-                            .any(|o| o.laggard == **s || o.helper == **s)
-                        && owed.iter().all(|f| {
-                            fo.replicas
-                                .hosts_of(f.part as usize)
-                                .contains(&(**s as usize - 1))
-                        })
-                })
-                .min_by_key(|(s, p)| (p.done_at.expect("filtered"), **s))
-                .map(|(s, _)| *s);
-            let Some(helper) = helper else {
-                continue;
-            };
-            let task = fo.next_task;
-            fo.next_task += 1;
-            let Ok(req) = (fo.mk_request)(&owed, task) else {
-                continue;
-            };
-            if self
-                .coord
-                .send(helper, req.to_wire_framed(st.epoch, st.round))
-                .is_err()
-            {
-                // The helper's channel is gone; the normal loss paths
-                // will detect and handle its death.
-                continue;
-            }
-            st.reqs.insert(helper, req);
-            st.prog.insert(
-                helper,
-                SiteProgress {
-                    task,
-                    ..SiteProgress::default()
-                },
-            );
-            *attempts.entry(helper).or_default() += 1;
-            fo.offers.push(OffloadOffer { laggard, helper });
-            fo.events.offloads += 1;
-        }
-    }
-
-    /// Route sites that are gone for good either to the failover re-plan
-    /// (when this round runs one) or to the degraded-mode ladder.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_lost(
-        &self,
-        lost: Vec<NodeId>,
-        retry: &RetryPolicy,
-        dead: &mut HashSet<NodeId>,
-        st: &mut RoundState,
-        failover: Option<&mut FailoverRound<'_>>,
-        attempts: &mut BTreeMap<NodeId, u32>,
-        resend_plan: Option<&Message>,
-    ) -> Result<()> {
-        if lost.is_empty() {
-            return Ok(());
-        }
-        match failover {
-            Some(fo) => self.run_failover(lost, fo, dead, st, attempts, resend_plan),
-            None => {
-                for s in lost {
-                    self.site_lost(s, retry, dead, &mut st.prog)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Re-plan the current wave after `lost` sites failed (Failover rung):
-    /// write them off, reassign their unserved partitions to the next
-    /// surviving replica in ring order, bump the query epoch — so
-    /// fragments computed under the old assignment, in flight or replayed
-    /// from a site's reply cache, can never be merged — and restart every
-    /// site that still owes partitions with a request rebuilt for the new
-    /// assignment. Staged chunks of restarted sites are discarded;
-    /// together with reply staging this keeps the invariant that each
-    /// partition's detail tuples are folded into the synchronized
-    /// base-result exactly once. A partition with no surviving replica is
-    /// dropped from the round (Partial semantics, reported as `parts_lost`).
-    fn run_failover(
-        &self,
-        lost: Vec<NodeId>,
-        fo: &mut FailoverRound<'_>,
-        dead: &mut HashSet<NodeId>,
-        st: &mut RoundState,
-        attempts: &mut BTreeMap<NodeId, u32>,
-        resend_plan: Option<&Message>,
-    ) -> Result<()> {
-        let t = Instant::now();
-        // Outstanding offload offers are void: the epoch bump below
-        // invalidates any in-flight offer replies, and restarts below are
-        // issued under task 0. Helpers not owing partitions of their own
-        // drop back to done.
-        for o in std::mem::take(&mut fo.offers) {
-            st.staged.remove(&o.helper);
-            if let Some(p) = st.prog.get_mut(&o.helper) {
-                p.done = true;
-            }
-        }
-        let mut worklist = lost;
-        let res = loop {
-            for site in std::mem::take(&mut worklist) {
-                if !dead.insert(site) {
-                    continue;
-                }
-                fo.events.failovers += 1;
-                st.staged.remove(&site);
-                st.reqs.remove(&site);
-                if let Some(p) = st.prog.get_mut(&site) {
-                    p.done = true;
-                }
-                if dead.len() == self.num_sites {
-                    break;
-                }
-                // Fragment-granular re-plan: only the dead site's unserved
-                // fragments move, each to the next surviving host of its
-                // partition in ring order. A fragment with no surviving
-                // host is dropped; the partition-level fix-up below
-                // accounts the loss once per partition.
-                for frag in fo.site_parts.remove(&site).unwrap_or_default() {
-                    let next = fo
-                        .replicas
-                        .hosts_of(frag.part as usize)
-                        .iter()
-                        .map(|&h| (h + 1) as NodeId)
-                        .find(|h| !dead.contains(h));
-                    if let Some(h) = next {
-                        fo.site_parts.entry(h).or_default().push(frag);
-                        fo.events.parts_reassigned += 1;
-                    }
-                }
-                // Ownership fix-up: partitions assigned to the dead site
-                // move to their next surviving replica (feeding the next
-                // round's layout and the coverage report), or are lost.
-                for part in 0..fo.assignment.len() {
-                    if fo.assignment[part] != Some(site) {
-                        continue;
-                    }
-                    let next = fo
-                        .replicas
-                        .hosts_of(part)
-                        .iter()
-                        .map(|&h| (h + 1) as NodeId)
-                        .find(|h| !dead.contains(h));
-                    fo.assignment[part] = next;
-                    if next.is_none() {
-                        fo.events.parts_lost += 1;
-                    }
-                }
-            }
-            if dead.len() == self.num_sites {
-                break Err(SkallaError::exec("every site failed; no result possible"));
-            }
-            // Everything computed so far under the old assignment is stale.
-            st.epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            // Restart every site that still owes fragments — including
-            // previously-done sites that just inherited some (only the
-            // inherited fragments are requested; their own are already
-            // merged). Restarts are the round's authoritative wave again,
-            // so they run under task 0.
-            let restart: Vec<(NodeId, Vec<PartFrag>)> = fo
-                .site_parts
-                .iter()
-                .map(|(s, ps)| (*s, ps.clone()))
-                .collect();
-            for (site, mut parts) in restart {
-                parts.sort_unstable();
-                parts.dedup();
-                fo.site_parts.insert(site, parts.clone());
-                let req = (fo.mk_request)(&parts, 0)?;
-                st.staged.remove(&site);
-                st.prog.insert(site, SiteProgress::default());
-                st.reqs.insert(site, req);
-                *attempts.entry(site).or_default() += 1;
-                let send = || -> Result<()> {
-                    if let Some(p) = resend_plan {
-                        self.coord
-                            .send(site, p.to_wire_framed(st.epoch, st.round))?;
-                    }
-                    self.coord
-                        .send(site, st.reqs[&site].to_wire_framed(st.epoch, st.round))
-                };
-                if send().is_err() {
-                    worklist.push(site);
-                }
-            }
-            if worklist.is_empty() {
-                break Ok(());
-            }
-        };
-        fo.events.failover_s += t.elapsed().as_secs_f64();
-        res
-    }
-
-    /// Re-send the plan (sites may have lost the original broadcast) and
-    /// the site's round request, under the round's current epoch.
-    fn resend(&self, site: NodeId, plan: Option<&Message>, st: &RoundState) -> Result<()> {
-        if let Some(p) = plan {
-            self.coord
-                .send(site, p.to_wire_framed(st.epoch, st.round))?;
-        }
-        let req = st.reqs.get(&site).expect("resend target was a participant");
-        self.coord
-            .send(site, req.to_wire_framed(st.epoch, st.round))
-    }
-
-    /// A site is gone for good (crashed channel or exhausted budget) and
-    /// no failover is possible: fail the query or degrade, per the policy.
-    /// [`DegradedMode::Failover`] without an applicable replica map falls
-    /// back to Partial semantics — the next rung of the ladder.
-    fn site_lost(
-        &self,
-        site: NodeId,
-        retry: &RetryPolicy,
-        dead: &mut HashSet<NodeId>,
-        prog: &mut BTreeMap<NodeId, SiteProgress>,
-    ) -> Result<()> {
-        match retry.degraded {
-            DegradedMode::Fail => Err(SkallaError::exec(format!(
-                "site {site} is unreachable (crashed or disconnected)"
-            ))),
-            DegradedMode::Partial | DegradedMode::Failover => {
-                if let Some(p) = prog.get_mut(&site) {
-                    if p.expected_seq > 0 && !p.done {
-                        // Some of the site's chunks were already folded into
-                        // the synchronized structure; the merge cannot be
-                        // rolled back (documented limitation — see
-                        // docs/FAULT_MODEL.md; the Failover rung stages
-                        // chunks precisely to avoid this).
-                        return Err(SkallaError::exec(format!(
-                            "site {site} was lost mid-reply; partially merged \
-                             chunks cannot be rolled back"
-                        )));
-                    }
-                    p.done = true;
-                }
-                dead.insert(site);
-                if dead.len() == self.num_sites {
-                    return Err(SkallaError::exec("every site failed; no result possible"));
-                }
-                Ok(())
-            }
-        }
+    /// A round collector over this coordinator's endpoint and sites.
+    fn collector(&self, retry: RetryPolicy) -> Collector<'_> {
+        Collector::new(&self.coord, self.num_sites, retry)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -904,18 +289,7 @@ impl DistributedWarehouse {
             comm_modeled_s: delta.serial_time(&cost),
             sites: site_times.len(),
             groups,
-            blocks_compiled: 0,
-            blocks_interpreted: 0,
-            sync_decode_s: 0.0,
-            sync_merge_s: 0.0,
-            sync_finalize_s: 0.0,
-            sync_workers: 0,
-            sync_shards: 0,
-            sync_utilization: 0.0,
-            sync_imbalance: 0.0,
-            segments_scanned: 0,
-            segments_pruned: 0,
-            blocks_verified: 0,
+            ..RoundMetrics::default()
         }
     }
 
@@ -993,12 +367,8 @@ impl DistributedWarehouse {
         let mut site_times: Vec<f64> = vec![0.0; self.num_sites];
         // The baseline takes no plan, so it runs under the default retry
         // policy (fail on an unresponsive site).
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
+        let mut col = self.collector(RetryPolicy::default());
         let mut round_no: u32 = 0;
-        let mut decode_s = 0.0;
-        let mut checksum_failures = 0u64;
         for name in names {
             round_no += 1;
             let requests: Vec<(NodeId, Message)> = (1..=self.num_sites as NodeId)
@@ -1013,28 +383,16 @@ impl DistributedWarehouse {
                 .collect();
             let schema = self.table_schema(name)?;
             let mut builder = skalla_storage::TableBuilder::new(schema);
-            epoch = self.collect_round(
-                epoch,
-                round_no,
-                &retry,
-                None,
-                requests,
-                &mut dead,
-                &mut attempts,
-                &mut decode_s,
-                &mut checksum_failures,
-                None,
-                &mut |src, msg| {
-                    let Message::ShipAllData { rel, compute_s } = msg else {
-                        return Err(SkallaError::exec("expected ShipAllData"));
-                    };
-                    site_times[src as usize - 1] += compute_s;
-                    for row in rel.rows() {
-                        builder.push_row(row)?;
-                    }
-                    Ok(())
-                },
-            )?;
+            epoch = col.collect(epoch, round_no, None, requests, None, &mut |src, msg| {
+                let Message::ShipAllData { rel, compute_s } = msg else {
+                    return Err(SkallaError::exec("expected ShipAllData"));
+                };
+                site_times[src as usize - 1] += compute_s;
+                for row in rel.rows() {
+                    builder.push_row(row)?;
+                }
+                Ok(())
+            })?;
             catalog.register(name, builder.finish());
         }
 
@@ -1051,23 +409,23 @@ impl DistributedWarehouse {
         let mut metrics = ExecMetrics {
             cost_model: Some(self.net.cost_model()),
             coverage: Some(Coverage {
-                responded: self.num_sites - dead.len(),
+                responded: self.num_sites - col.dead.len(),
                 total: self.num_sites,
             }),
-            site_attempts: attempts,
-            checksum_failures,
+            site_attempts: col.attempts,
+            checksum_failures: col.checksum_failures,
             ..ExecMetrics::default()
         };
         let mut rm = self.round_metrics_from(
             "ship-all",
             &before,
             &site_times,
-            coord_s + decode_s,
+            coord_s + col.decode_s,
             groups,
             0,
             rows_shipped,
         );
-        rm.sync_decode_s = decode_s;
+        rm.sync_decode_s = col.decode_s;
         metrics.rounds.push(rm);
         metrics.wall_s = wall_start.elapsed().as_secs_f64();
         Ok((result, metrics))
@@ -1095,10 +453,6 @@ impl DistributedWarehouse {
             return Err(SkallaError::not_found(format!("table `{table}`")));
         }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
         // Under replicated placement site i's file holds partition i - 1;
         // naming it lets the site bind the partition alias to the same
         // file, so partition-addressed scans stream from disk too.
@@ -1121,17 +475,11 @@ impl DistributedWarehouse {
             })
             .collect();
         let mut rows = vec![0u64; self.num_sites];
-        let mut checksum_failures = 0u64;
-        self.collect_round(
+        self.collector(RetryPolicy::default()).collect(
             epoch,
             0,
-            &retry,
             None,
             requests,
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
             None,
             &mut |src, msg| {
                 let Message::SegmentsLoaded { rows: r } = msg else {
@@ -1164,25 +512,15 @@ impl DistributedWarehouse {
     /// [`ScrubSummary::failures`].
     pub fn scrub(&self) -> Result<ScrubSummary> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
-        let mut checksum_failures = 0u64;
         let requests: Vec<(NodeId, Message)> = (1..=self.num_sites as NodeId)
             .map(|s| (s, Message::ScrubRequest))
             .collect();
         let mut reports: Vec<(NodeId, ScrubEntry)> = Vec::new();
-        self.collect_round(
+        self.collector(RetryPolicy::default()).collect(
             epoch,
             0,
-            &retry,
             None,
             requests,
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
             None,
             &mut |src, msg| {
                 let Message::ScrubReport { entries } = msg else {
@@ -1237,17 +575,12 @@ impl DistributedWarehouse {
                 SkallaError::exec(format!("partition {part} has no surviving replica"))
             })?;
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let retry = RetryPolicy::default();
-        let mut dead: HashSet<NodeId> = HashSet::new();
-        let mut attempts: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut decode_s = 0.0;
-        let mut checksum_failures = 0u64;
+        let mut col = self.collector(RetryPolicy::default());
         let schema = self.table_schema(table)?;
         let mut builder = skalla_storage::TableBuilder::new(schema);
-        self.collect_round(
+        col.collect(
             epoch,
             0,
-            &retry,
             None,
             vec![(
                 donor,
@@ -1255,10 +588,6 @@ impl DistributedWarehouse {
                     table: partition_table_name(table, part),
                 },
             )],
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
             None,
             &mut |_src, msg| {
                 let Message::ShipAllData { rel, .. } = msg else {
@@ -1274,10 +603,9 @@ impl DistributedWarehouse {
         let path = format!("{old_path}.r{epoch}");
         write_segments(&path, &fresh, REPAIR_SEGMENT_ROWS)?;
         let mut rows_loaded = 0u64;
-        self.collect_round(
+        col.collect(
             epoch,
             1,
-            &retry,
             None,
             vec![(
                 site,
@@ -1287,10 +615,6 @@ impl DistributedWarehouse {
                     part: Some(part as u64),
                 },
             )],
-            &mut dead,
-            &mut attempts,
-            &mut decode_s,
-            &mut checksum_failures,
             None,
             &mut |src, msg| {
                 let Message::SegmentsLoaded { rows } = msg else {
@@ -1367,7 +691,9 @@ pub struct QueryRun<'a> {
     plan_installed: bool,
     /// Re-install plans with reliable sends (serving mode).
     reliable_plan: bool,
-    dead: HashSet<NodeId>,
+    /// The run's round collector; its ledger (sites written off, request
+    /// attempts, checksum failures) spans every round.
+    col: Collector<'a>,
     /// Live partition→site assignment (replicated launches only).
     assignment: Vec<Option<NodeId>>,
     use_replicas: bool,
@@ -1444,25 +770,13 @@ impl<'a> QueryRun<'a> {
             r.coord_filters = None;
         }
         let plan_msg = Message::Plan(site_plan);
-        let mut dead: HashSet<NodeId> = HashSet::new();
+        let mut col = wh.collector(plan.retry.clone());
         for site in 1..=wh.num_sites as NodeId {
             if wh
                 .send_framed(site, &plan_msg, epoch, 0, reliable_plan)
                 .is_err()
             {
-                match plan.retry.degraded {
-                    DegradedMode::Fail => {
-                        return Err(SkallaError::exec(format!(
-                            "site {site} is unreachable (crashed or disconnected)"
-                        )))
-                    }
-                    DegradedMode::Partial | DegradedMode::Failover => {
-                        dead.insert(site);
-                        if dead.len() == wh.num_sites {
-                            return Err(SkallaError::exec("every site failed; no result possible"));
-                        }
-                    }
-                }
+                col.site_lost(site, None)?;
             }
         }
         metrics
@@ -1480,13 +794,13 @@ impl<'a> QueryRun<'a> {
         };
         let assignment: Vec<Option<NodeId>> = match replicas {
             Some(r) => {
-                events.failovers += dead.len() as u64;
+                events.failovers += col.dead.len() as u64;
                 let a: Vec<Option<NodeId>> = (0..r.num_parts())
                     .map(|part| {
                         r.hosts_of(part)
                             .iter()
                             .map(|&h| (h + 1) as NodeId)
-                            .find(|h| !dead.contains(h))
+                            .find(|h| !col.dead.contains(h))
                     })
                     .collect();
                 for (part, host) in a.iter().enumerate() {
@@ -1528,7 +842,7 @@ impl<'a> QueryRun<'a> {
             epoch,
             plan_installed: true,
             reliable_plan,
-            dead,
+            col,
             assignment,
             use_replicas,
             events,
@@ -1578,7 +892,7 @@ impl<'a> QueryRun<'a> {
             .map(|a| a.map(|h| h as usize - 1))
             .collect();
         let alive: Vec<bool> = (0..self.wh.num_sites)
-            .map(|s| !self.dead.contains(&((s + 1) as NodeId)))
+            .map(|s| !self.col.dead.contains(&((s + 1) as NodeId)))
             .collect();
         match plan_splits(
             &loads,
@@ -1654,14 +968,14 @@ impl<'a> QueryRun<'a> {
 
     /// Re-install this run's plan on every live site. Send failures are
     /// deliberately ignored here: an unreachable site is detected by the
-    /// next `collect_round`, which routes it through the degraded-mode
+    /// next collection, which routes it through the degraded-mode
     /// ladder (or failover) exactly as a mid-round loss would be.
     fn ensure_plan(&mut self) {
         if self.plan_installed {
             return;
         }
         for site in 1..=self.wh.num_sites as NodeId {
-            if self.dead.contains(&site) {
+            if self.col.dead.contains(&site) {
                 continue;
             }
             let _ = self.wh.send_framed(
@@ -1726,7 +1040,7 @@ impl<'a> QueryRun<'a> {
                     .collect()
             }
             None => (1..=wh.num_sites as NodeId)
-                .filter(|s| !self.dead.contains(s))
+                .filter(|s| !self.col.dead.contains(s))
                 .map(|s| {
                     (
                         s,
@@ -1744,15 +1058,16 @@ impl<'a> QueryRun<'a> {
                 task,
             })
         };
-        let mut fo_round = replicas.map(|r| FailoverRound {
-            replicas: r,
-            assignment: &mut self.assignment,
-            site_parts,
-            mk_request: &mk_base,
-            events: &mut self.events,
-            offload_factor: skew.offload.then_some(skew.offload_factor),
-            next_task: 1,
-            offers: Vec::new(),
+        let mut fo_round = replicas.map(|r| {
+            FailoverRound::new(
+                r,
+                &wh.epoch,
+                &mut self.assignment,
+                site_parts,
+                &mk_base,
+                &mut self.events,
+                skew.offload.then_some(skew.offload_factor),
+            )
         });
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
@@ -1763,17 +1078,11 @@ impl<'a> QueryRun<'a> {
         let mut staged: BTreeMap<NodeId, Vec<Relation>> = BTreeMap::new();
         let mut sketches: Vec<PartSketch> = Vec::new();
         let mut coord_s = 0.0;
-        let mut decode_s = 0.0;
-        self.epoch = wh.collect_round(
+        self.epoch = self.col.collect(
             self.epoch,
             round_no,
-            &self.plan.retry,
             Some(&self.plan_msg),
             requests,
-            &mut self.dead,
-            &mut self.metrics.site_attempts,
-            &mut decode_s,
-            &mut self.metrics.checksum_failures,
             fo_round.as_mut(),
             &mut |src, msg| {
                 let Message::BaseFragment {
@@ -1795,6 +1104,7 @@ impl<'a> QueryRun<'a> {
             },
         )?;
         drop(fo_round);
+        let decode_s = std::mem::take(&mut self.col.decode_s);
         if let Some(r) = replicas {
             let table = r.table.clone();
             self.absorb_sketches(&table, &sketches);
@@ -1822,11 +1132,7 @@ impl<'a> QueryRun<'a> {
     /// sub-aggregate fragments, synchronize, checkpoint.
     fn step_segment(&mut self, seg_idx: usize) -> Result<()> {
         let wh = self.wh;
-        let replicas = if self.use_replicas {
-            wh.replicas.as_ref()
-        } else {
-            None
-        };
+        let replicas = self.replica_ctx();
         // The fragment layout is planned up front (it needs `&mut self`
         // for the split accounting) — uniform whole partitions, or the
         // skew-balanced split when the load sketch flags a hot one.
@@ -1967,7 +1273,7 @@ impl<'a> QueryRun<'a> {
             }
         } else {
             for site in 1..=wh.num_sites as NodeId {
-                if self.dead.contains(&site) {
+                if self.col.dead.contains(&site) {
                     continue;
                 }
                 let base_for_site: Option<Relation> = if local_base {
@@ -2005,15 +1311,16 @@ impl<'a> QueryRun<'a> {
             }
         }
         let coord_prep_s = t_coord.elapsed().as_secs_f64();
-        let mut fo_round = replicas.map(|r| FailoverRound {
-            replicas: r,
-            assignment: &mut self.assignment,
-            site_parts,
-            mk_request: &mk_seg,
-            events: &mut self.events,
-            offload_factor: skew.offload.then_some(skew.offload_factor),
-            next_task: 1,
-            offers: Vec::new(),
+        let mut fo_round = replicas.map(|r| {
+            FailoverRound::new(
+                r,
+                &wh.epoch,
+                &mut self.assignment,
+                site_parts,
+                &mk_seg,
+                &mut self.events,
+                skew.offload.then_some(skew.offload_factor),
+            )
         });
 
         // Collect and synchronize. Fragments merge as they arrive —
@@ -2024,7 +1331,6 @@ impl<'a> QueryRun<'a> {
         self.round_no += 1;
         let round_no = self.round_no;
         let mut coord_sync_s = 0.0;
-        let mut decode_s = 0.0;
         let mut site_times = Vec::with_capacity(requests.len());
         let mut rows_up = 0u64;
         let mut blocks_compiled = 0u64;
@@ -2033,89 +1339,35 @@ impl<'a> QueryRun<'a> {
         let mut segments_pruned = 0u64;
         let mut blocks_verified = 0u64;
         let mut sketches: Vec<PartSketch> = Vec::new();
-        self.epoch = wh.collect_round(
+        self.epoch = self.col.collect(
             self.epoch,
             round_no,
-            &plan.retry,
             Some(&self.plan_msg),
             requests,
-            &mut self.dead,
-            &mut self.metrics.site_attempts,
-            &mut decode_s,
-            &mut self.metrics.checksum_failures,
             fo_round.as_mut(),
             &mut |src, msg| {
-                let (h, compute_s, bc, bi, last, sketch, seg_sc, seg_pr, blk_v) = match msg {
-                    Message::RoundResult {
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        h,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    Message::LocalRunResult {
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                        ..
-                    } => (
-                        ship,
-                        compute_s,
-                        blocks_compiled,
-                        blocks_interpreted,
-                        last,
-                        sketch,
-                        segments_scanned,
-                        segments_pruned,
-                        blocks_verified,
-                    ),
-                    other => {
-                        return Err(SkallaError::exec(format!(
-                            "site {src}: expected round result, got {other:?}"
-                        )))
-                    }
-                };
-                blocks_compiled += u64::from(bc);
-                blocks_interpreted += u64::from(bi);
-                segments_scanned += seg_sc;
-                segments_pruned += seg_pr;
-                blocks_verified += blk_v;
+                let f = msg.into_fragment(src)?;
+                blocks_compiled += u64::from(f.blocks_compiled);
+                blocks_interpreted += u64::from(f.blocks_interpreted);
+                segments_scanned += f.segments_scanned;
+                segments_pruned += f.segments_pruned;
+                blocks_verified += f.blocks_verified;
                 let t = Instant::now();
-                rows_up += h.len() as u64;
-                sketches.extend(sketch);
+                rows_up += f.h.len() as u64;
+                sketches.extend(f.sketch);
                 // The closure time is the router (validate + partition);
                 // merging happens on the worker pool, overlapped with
                 // receive.
-                x.merge_chunk(h)?;
-                if last {
-                    site_times.push(compute_s);
+                x.merge_chunk(f.h)?;
+                if f.last {
+                    site_times.push(f.compute_s);
                 }
                 coord_sync_s += t.elapsed().as_secs_f64();
                 Ok(())
             },
         )?;
         drop(fo_round);
+        let decode_s = std::mem::take(&mut self.col.decode_s);
         if let Some(table) = &skew_table {
             self.absorb_sketches(table, &sketches);
         }
@@ -2180,6 +1432,8 @@ impl<'a> QueryRun<'a> {
         self.metrics.failover_s = self.events.failover_s;
         self.metrics.offloads = self.events.offloads;
         self.metrics.offload_wins = self.events.offload_wins;
+        self.metrics.site_attempts = std::mem::take(&mut self.col.attempts);
+        self.metrics.checksum_failures = self.col.checksum_failures;
         self.metrics.coverage = Some(match self.replica_ctx() {
             // Under failover, coverage counts partitions: a dead site's
             // partitions stay in the answer as long as a replica survives.
@@ -2191,7 +1445,7 @@ impl<'a> QueryRun<'a> {
                 }
             }
             None => Coverage {
-                responded: self.wh.num_sites - self.dead.len(),
+                responded: self.wh.num_sites - self.col.dead.len(),
                 total: self.wh.num_sites,
             },
         });
@@ -2226,91 +1480,6 @@ impl Drop for DistributedWarehouse {
     }
 }
 
-/// Per-site reply progress within one collection round.
-#[derive(Default)]
-struct SiteProgress {
-    /// The site's `last` chunk was accepted (or the site was written off).
-    done: bool,
-    /// Next chunk sequence number the coordinator will accept.
-    expected_seq: u32,
-    /// How many `Error` replies this site has been retried for.
-    error_retries: u32,
-    /// Work-assignment id the coordinator expects this site's replies to
-    /// echo. The original wave is task 0; straggler-offload duplicates
-    /// carry fresh ids, so a reply cached or in flight for a site's
-    /// *earlier* assignment in the same round can never be merged against
-    /// a newer one.
-    task: u32,
-    /// When the site's final chunk was accepted; feeds the offload
-    /// policy's round-median completion time.
-    done_at: Option<Instant>,
-}
-
-/// Mutable state of one collection round, shared between the retry loop
-/// and the failover re-planner.
-struct RoundState {
-    /// Epoch this round's requests are framed with. A failover re-plan
-    /// bumps it, instantly invalidating in-flight and cached replies
-    /// computed under the old partition assignment.
-    epoch: u64,
-    round: u32,
-    /// Current request per participating site (failover rewrites entries).
-    reqs: BTreeMap<NodeId, Message>,
-    prog: BTreeMap<NodeId, SiteProgress>,
-    /// Chunks held back per site until its final chunk arrives (failover
-    /// rounds only): a site lost mid-reply leaves nothing merged.
-    staged: BTreeMap<NodeId, Vec<Message>>,
-}
-
-/// Failover and skew accounting across a query's rounds, folded into
-/// [`ExecMetrics`] at the end of execution.
-#[derive(Default)]
-struct FailoverEvents {
-    failovers: u64,
-    parts_reassigned: u64,
-    parts_lost: u64,
-    failover_s: f64,
-    offloads: u64,
-    offload_wins: u64,
-}
-
-/// An in-flight straggler-offload offer: `helper` was asked to duplicate
-/// `laggard`'s remaining work under a fresh task id; the first of the two
-/// to deliver its final chunk wins and the other side's reply is
-/// discarded whole.
-struct OffloadOffer {
-    laggard: NodeId,
-    helper: NodeId,
-}
-
-/// Per-round failover context handed to `collect_round` when the Failover
-/// rung is active.
-struct FailoverRound<'a> {
-    replicas: &'a ReplicaMap,
-    /// Live partition→site assignment; `None` marks a partition with no
-    /// surviving replica. Persists across rounds.
-    assignment: &'a mut Vec<Option<NodeId>>,
-    /// Partition fragments each site still owes *this* round; entries
-    /// drain as sites deliver their final chunk, so a site that dies
-    /// later never triggers re-requests for fragments already merged.
-    site_parts: BTreeMap<NodeId, Vec<PartFrag>>,
-    /// Rebuild a round request covering exactly the given fragments under
-    /// the given task id (used when a failover re-plans the wave and when
-    /// a straggler's residual work is offloaded).
-    mk_request: &'a dyn Fn(&[PartFrag], u32) -> Result<Message>,
-    events: &'a mut FailoverEvents,
-    /// `Some(factor)` arms mid-round straggler offload: once half the
-    /// round's sites are done, a site lagging `factor ×` the median
-    /// completion time has its residual work duplicated to an idle
-    /// replica host.
-    offload_factor: Option<f64>,
-    /// Next work-assignment id for offload duplicates (the original wave
-    /// is task 0).
-    next_task: u32,
-    /// Offers outstanding this round.
-    offers: Vec<OffloadOffer>,
-}
-
 /// Group a partition→site assignment by hosting site, as whole-partition
 /// fragments.
 fn site_parts_from(assignment: &[Option<NodeId>]) -> BTreeMap<NodeId, Vec<PartFrag>> {
@@ -2321,38 +1490,6 @@ fn site_parts_from(assignment: &[Option<NodeId>]) -> BTreeMap<NodeId, Vec<PartFr
         }
     }
     m
-}
-
-fn pending_sites(prog: &BTreeMap<NodeId, SiteProgress>) -> Vec<NodeId> {
-    prog.iter()
-        .filter(|(_, p)| !p.done)
-        .map(|(s, _)| *s)
-        .collect()
-}
-
-/// The `(seq, last)` pair of a round reply; `None` for non-reply messages.
-/// Single-message replies are their own final chunk.
-fn reply_seq_last(msg: &Message) -> Option<(u32, bool)> {
-    match msg {
-        Message::BaseFragment { .. }
-        | Message::ShipAllData { .. }
-        | Message::SegmentsLoaded { .. }
-        | Message::ScrubReport { .. } => Some((0, true)),
-        Message::RoundResult { seq, last, .. } => Some((*seq, *last)),
-        Message::LocalRunResult { seq, last, .. } => Some((*seq, *last)),
-        _ => None,
-    }
-}
-
-/// The work-assignment id a reply echoes (0 for replies that predate the
-/// task protocol, e.g. `ShipAllData`).
-fn reply_task(msg: &Message) -> u32 {
-    match msg {
-        Message::BaseFragment { task, .. }
-        | Message::RoundResult { task, .. }
-        | Message::LocalRunResult { task, .. } => *task,
-        _ => 0,
-    }
 }
 
 /// Apply a coordinator-side group-reduction filter to the base relation.

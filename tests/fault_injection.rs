@@ -300,3 +300,137 @@ fn partial_with_all_sites_dead_is_an_error() {
     assert!(err.contains("every site failed"), "{err}");
     wh.shutdown().unwrap();
 }
+
+/// `rows` rows over 64 groups of `k`.
+fn wide_table(rows: usize) -> Table {
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|i| vec![Value::Int((i % 64) as i64), Value::Int(i as i64)])
+        .collect();
+    Table::from_rows(flow_schema(), &data).unwrap()
+}
+
+/// `wide_table(rows)` hash-partitioned on `v` over eight sites: every site
+/// holds every group, so a fragment blocked at 16 rows spans several
+/// chunks.
+fn wide_catalogs(rows: usize) -> Vec<Catalog> {
+    let parts = partition_by_hash(&wide_table(rows), 1, 8).unwrap();
+    parts
+        .parts
+        .iter()
+        .map(|p| {
+            let mut c = Catalog::new();
+            c.register("flow", p.clone());
+            c
+        })
+        .collect()
+}
+
+/// Run `f` on a helper thread; the test fails, instead of hanging, when
+/// `f` does not finish within `bound`.
+fn within<T: Send + 'static>(bound: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(bound) {
+        Ok(v) => v,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("did not finish within {bound:?}")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("helper thread panicked"),
+    }
+}
+
+/// Launch a tree (fanout 3 over `catalogs`), execute `plan`, and shut the
+/// tree down, all within `bound`; returns the sorted result.
+fn run_tree_within(
+    bound: Duration,
+    catalogs: Vec<Catalog>,
+    fanout: usize,
+    faults: FaultPlan,
+    plan: DistPlan,
+) -> Result<Relation, SkallaError> {
+    within(bound, move || {
+        let tw = TieredWarehouse::launch_with_faults(catalogs, fanout, CostModel::free(), faults)
+            .unwrap();
+        let result = tw.execute(&plan).map(|(rel, _)| rel.sorted());
+        tw.shutdown().unwrap();
+        result
+    })
+}
+
+/// Seeds 1..=10 of `faults`: a tree (eight sites, fanout 3) and a flat
+/// warehouse under the same faults, with row-blocked fragments, must both
+/// answer exactly the centralized result. Mid-tiers collect their
+/// clusters under the root's duplicate, retry and deadline rules, so each
+/// child chunk is merged exactly once.
+fn tree_and_flat_are_exact_under(faults: impl Fn(u64) -> FaultPlan) {
+    let mut full = Catalog::new();
+    full.register("flow", wide_table(768));
+    let truth = eval_expr_centralized(&query(), &full).unwrap().sorted();
+    // A 100 ms first window keeps the twenty lossy runs short.
+    let plan = DistPlan::unoptimized(query())
+        .with_block_rows(16)
+        .with_retry_policy(RetryPolicy {
+            deadline: Duration::from_millis(100),
+            ..fast_retry()
+        });
+    for seed in 1..=10 {
+        let tree = run_tree_within(
+            Duration::from_secs(60),
+            wide_catalogs(768),
+            3,
+            faults(seed),
+            plan.clone(),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: tree failed: {e}"));
+        let wh = DistributedWarehouse::launch_with_faults(
+            wide_catalogs(768),
+            CostModel::free(),
+            faults(seed),
+        )
+        .unwrap();
+        let flat = wh
+            .execute(&plan)
+            .unwrap_or_else(|e| panic!("seed {seed}: flat failed: {e}"))
+            .0
+            .sorted();
+        wh.shutdown().unwrap();
+        assert_eq!(tree, truth, "seed {seed}: tree vs centralized");
+        assert_eq!(flat, truth, "seed {seed}: flat vs centralized");
+    }
+}
+
+#[test]
+fn tree_results_are_exact_under_duplication() {
+    tree_and_flat_are_exact_under(|seed| FaultPlan::seeded(seed).with_dup_rate(0.3));
+}
+
+#[test]
+fn tree_results_are_exact_under_drop_and_delay() {
+    tree_and_flat_are_exact_under(|seed| {
+        FaultPlan::seeded(seed)
+            .with_drop_rate(0.05)
+            .with_delay_rate(0.2)
+    });
+}
+
+#[test]
+fn lossy_tree_shuts_down_within_a_bound() {
+    // Drop faults hit every unreliable send, so a mid-tier relaying the
+    // root's Shutdown unreliably could lose it: that leaf never exits and
+    // the root's join waits forever.
+    let plan = DistPlan::unoptimized(query()).with_retry_policy(fast_retry());
+    for seed in 1..=5 {
+        let faults = FaultPlan::seeded(seed).with_drop_rate(0.2);
+        let result = run_tree_within(
+            Duration::from_secs(30),
+            catalogs(280),
+            2,
+            faults,
+            plan.clone(),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: tree failed: {e}"));
+        assert_eq!(result, ground_truth(), "seed {seed}");
+    }
+}

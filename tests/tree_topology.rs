@@ -180,4 +180,15 @@ fn launch_guards() {
     assert!(TieredWarehouse::launch(vec![], 2, CostModel::free()).is_err());
     let (_, _, catalogs) = setup(10, 2);
     assert!(TieredWarehouse::launch(catalogs, 0, CostModel::free()).is_err());
+    // A table whose schema differs across sites is rejected, as the flat
+    // launch rejects it, instead of the first site's schema winning.
+    let (_, _, mut catalogs) = setup(10, 2);
+    let other = Schema::from_pairs([("x", DataType::Int64)])
+        .unwrap()
+        .into_arc();
+    catalogs[1].register("flow", Table::empty(other));
+    let err = TieredWarehouse::launch(catalogs, 2, CostModel::free())
+        .err()
+        .expect("differing schemas must be rejected");
+    assert!(err.to_string().contains("differing schemas"), "{err}");
 }
